@@ -8,6 +8,7 @@ rows/series, and archives them under ``benchmarks/results/``.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,10 @@ import pytest
 from repro.artifacts.workspace import Workspace, set_active_workspace
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+# Benchmarks check against the scalar Eq. (2) oracle in the repository's
+# ``tests`` package.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 
 @pytest.fixture(scope="session")

@@ -1,24 +1,22 @@
-"""Benchmark: batched catalog sweep vs the per-candidate reference loop.
+"""Benchmark: batched catalog sweep vs one ``predict_training`` per candidate.
 
 Times a full-catalog sweep (every priceable (GPU, count) x 12 batch sizes
 x 3 pricing tiers = 1296 candidates) both ways and asserts the batched
-path's contract: >= 10x faster warm than the per-candidate loop with
-every candidate matching within 1e-9 relative tolerance. Runs at the
-canonical experiment configuration like every other benchmark; the
-assertions make catalog-sweep regressions fail here rather than slowing
-the tier-1 test suite.
+path's contract: >= 10x faster warm than the per-candidate loop, with
+every candidate matching the scalar per-op oracle within 1e-9 relative
+tolerance. Runs at the canonical experiment configuration like every
+other benchmark; the assertions make catalog-sweep regressions fail here
+rather than slowing the tier-1 test suite.
 """
 
 import time
 
-from repro.core.batch import (
-    SweepPlan,
-    evaluate_sweep,
-    sweep_candidates_reference,
-)
+from repro.core.batch import SweepPlan, evaluate_sweep
 from repro.core.estimator import CeerEstimator
 from repro.experiments.common import IMAGENET_JOB, fitted_ceer
 from repro.units import us_to_hr
+from repro.workloads.dataset import TrainingJob
+from tests.oracle import REL_TOL, oracle_sweep
 
 MODEL = "inception_v3"
 
@@ -30,14 +28,26 @@ def test_bench_sweep_catalog(benchmark, emit):
     )
     plan = SweepPlan.full_catalog()
 
-    # Prime the engine's graph caches so the loop timing measures its
-    # per-candidate dispatch, not one-off graph compilation.
-    reference = sweep_candidates_reference(estimator, MODEL, IMAGENET_JOB, plan)
+    cells = list(evaluate_sweep(estimator, MODEL, IMAGENET_JOB, plan).iter_candidates())
+
+    def per_candidate():
+        return [
+            estimator.predict_training(
+                MODEL, plan.gpu_keys[g], plan.gpu_counts[k],
+                TrainingJob(IMAGENET_JOB.dataset, batch_size=plan.batch_sizes[b],
+                            epochs=IMAGENET_JOB.epochs),
+                pricing=plan.pricings[p],
+            )
+            for p, g, k, b in cells
+        ]
+
+    # Prime the graph, compile and totals caches so the loop timing
+    # measures its per-candidate dispatch, not one-off compilation.
+    per_candidate()
     t0 = time.perf_counter()
-    reference = sweep_candidates_reference(estimator, MODEL, IMAGENET_JOB, plan)
+    per_candidate()
     loop_s = time.perf_counter() - t0
 
-    evaluate_sweep(estimator, MODEL, IMAGENET_JOB, plan)  # warm the caches
     result = benchmark.pedantic(
         lambda: evaluate_sweep(estimator, MODEL, IMAGENET_JOB, plan),
         rounds=5, iterations=1,
@@ -48,8 +58,8 @@ def test_bench_sweep_catalog(benchmark, emit):
     speedup = loop_s / warm_s
     assert speedup >= 10.0, f"catalog speedup {speedup:.1f}x below 10x target"
 
-    # Numerically equivalent across every priceable candidate.
-    cells = list(result.iter_candidates())
+    # Every priceable candidate matches the scalar oracle.
+    reference = oracle_sweep(estimator, MODEL, IMAGENET_JOB, plan)
     assert len(cells) == len(reference)
     worst = 0.0
     for cell, ref in zip(cells, reference):
@@ -59,7 +69,7 @@ def test_bench_sweep_catalog(benchmark, emit):
         worst = max(
             worst, abs(got.cost_dollars - ref.cost_dollars) / ref.cost_dollars
         )
-    assert worst <= 1e-9
+    assert worst <= REL_TOL
 
     frontier = result.frontier()
     lines = [

@@ -38,6 +38,7 @@ Example session::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -87,6 +88,17 @@ def _add_obs_args(p, suppress: bool) -> None:
     p.add_argument("--metrics-out", default=default, metavar="PATH",
                    help="write counters/gauges/histograms JSON for this "
                         "run; also $REPRO_METRICS")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is not NaN or infinite (exit 2 otherwise)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -164,9 +176,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="static-scenario objective (default: min-cost); "
                           "conflicts with --scenario spot, which always "
                           "ranks by the spot-risk objective")
-    rec.add_argument("--budget", type=float,
+    rec.add_argument("--budget", type=_finite_float,
                      help="$/hr for hourly-budget, $ total for total-budget")
-    rec.add_argument("--slack", type=float, default=0.0,
+    rec.add_argument("--slack", type=_finite_float, default=0.0,
                      help="hourly-budget slack in dollars (paper uses 0.42)")
     rec.add_argument("--scenario", default="static",
                      choices=("static", "spot"),
@@ -180,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="advance the spot market this many price ticks "
                           "and rank at the last one (requires --scenario "
                           "spot; default: 1)")
-    rec.add_argument("--risk-aversion", type=float, default=None,
+    rec.add_argument("--risk-aversion", type=_finite_float, default=None,
                      metavar="LAMBDA",
                      help="spot-risk trade-off in $ per expected hour: "
                           "score = expected cost + LAMBDA * expected "

@@ -18,7 +18,6 @@ from repro.core.engine import (
     CompiledGraph,
     PredictionEngine,
     compile_graph,
-    evaluate_compiled_us,
 )
 from repro.core.estimator import CeerEstimator, TrainingPrediction
 from repro.core.fit import CeerDiagnostics, FittedCeer, fit_ceer
@@ -62,7 +61,6 @@ from repro.core.batch import (
     SweepPlan,
     SweepResult,
     evaluate_sweep,
-    sweep_candidates_reference,
 )
 from repro.core.update import extend_ceer, learn_model
 from repro.core.baselines import (
@@ -83,7 +81,6 @@ __all__ = [
     "PredictionEngine",
     "CompiledGraph",
     "compile_graph",
-    "evaluate_compiled_us",
     "ComputeTimeModels",
     "HeavyOpModel",
     "fit_compute_models",
@@ -127,7 +124,6 @@ __all__ = [
     "SweepResult",
     "StackedOpModels",
     "evaluate_sweep",
-    "sweep_candidates_reference",
     "DEFAULT_SWEEP_BATCH_SIZES",
     "DEFAULT_SWEEP_PRICINGS",
 ]

@@ -23,16 +23,16 @@ factorises over the candidate axes:
 
 :func:`evaluate_sweep` combines them by NumPy broadcasting into
 ``(n_gpu, n_k, n_batch)`` time tensors and ``(n_pricing, n_gpu, n_k,
-n_batch)`` cost tensors with zero per-candidate Python. The arithmetic
-replays the scalar path's operation sequence exactly (same intercept-add,
-clip, floor, and accumulation order), so results match the per-candidate
-reference (:func:`sweep_candidates_reference`) to ulp-level — the test
-suite and ``tools/bench_sweep_catalog.py`` assert rel diff < 1e-9 across
-the zoo.
+n_batch)`` cost tensors with zero per-candidate Python.
+:func:`evaluate_compiled_batch_us` is the only evaluation of Eq. (2)'s
+compute sum in the package: a single
+:meth:`~repro.core.estimator.CeerEstimator.predict_training` is its
+one-GPU slice. The test suite checks it against a scalar per-op oracle
+(rel diff < 1e-9 across the zoo).
 
 Candidate (GPU, count) pairs the catalog cannot price (e.g. 9 V100s) are
 masked: NaN in the tensors, ``None`` in the instance table — the exact
-combos the reference loop skips via :class:`~repro.errors.CatalogError`.
+combos where the pricing scheme raises :class:`~repro.errors.CatalogError`.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from repro.obs.spans import span
 from repro.units import us_to_hr, usd_per_hr_to_usd
 from repro.workloads.dataset import TrainingJob
 from repro.core.comm_model import CommunicationModel
-from repro.core.engine import CompiledGraph, compile_graph
+from repro.core.engine import CompiledGraph
 from repro.core.estimator import CeerEstimator, TrainingPrediction
 from repro.core.op_models import ComputeTimeModels
 from repro.core.regression import PREDICTION_FLOOR_US
@@ -101,8 +101,8 @@ class StackedOpModels:
 
     One instance wraps one fitted :class:`ComputeTimeModels`; the
     estimator shares it across sweeps (see
-    :attr:`CeerEstimator.batch_models`). Three warm layers, mirroring the
-    scalar engine's compile/totals caches:
+    :attr:`CeerEstimator.batch_models`), single predictions included.
+    Three warm layers:
 
     * stacked per-(GPU tuple, op type) coefficient arrays (permanent —
       a handful of tiny matrices per fitted model set);
@@ -218,12 +218,13 @@ def evaluate_compiled_batch_us(
 ) -> np.ndarray:
     """Eq. (2)'s compute sum for one compiled graph on *all* GPU models.
 
-    Returns a ``(len(gpu_keys),)`` vector; element ``g`` replays
-    :func:`~repro.core.engine.evaluate_compiled_us` for ``gpu_keys[g]``
-    operation-for-operation: per op type one design-matrix product
-    (against the stacked coefficients of every GPU at once), the same
-    clip-then-floor, the same per-type accumulation order, the same
-    light/CPU median terms.
+    Returns a ``(len(gpu_keys),)`` vector; element ``g`` is the per-op
+    sum on ``gpu_keys[g]``: per op type one design-matrix product (against
+    the stacked coefficients of every GPU at once), clip-then-floor per
+    op as :meth:`~repro.core.regression.RegressionModel.predict_one`
+    does, plus the light/CPU median terms unless ``heavy_only``. Unseen
+    GPU ops raise under ``strict_unseen`` (even with ``heavy_only``) and
+    otherwise cost the light median.
     """
     models = stacked.models
     if compiled.n_unseen and models.strict_unseen:
@@ -249,6 +250,8 @@ class SweepPlan:
     The swept space is the cross product ``pricings x gpu_keys x
     gpu_counts x batch_sizes``; (GPU, count) pairs the catalog cannot
     price are masked out of the result rather than failing the sweep.
+    GPU keys are canonicalised (family aliases such as ``"P3"`` become
+    ``"V100"``) before the duplicate check.
     """
 
     gpu_keys: Tuple[str, ...] = GPU_KEYS
@@ -264,6 +267,10 @@ class SweepPlan:
             raise ModelingError("SweepPlan gpu_counts must be >= 1")
         if any(b < 1 for b in self.batch_sizes):
             raise ModelingError("SweepPlan batch_sizes must be >= 1")
+        # The dataclass is frozen; canonicalising is part of construction.
+        object.__setattr__(
+            self, "gpu_keys", tuple(gpu_spec(key).key for key in self.gpu_keys)
+        )
         for axis_name in ("gpu_keys", "gpu_counts", "batch_sizes"):
             axis = getattr(self, axis_name)
             if len(set(axis)) != len(axis):
@@ -468,10 +475,8 @@ def evaluate_sweep(
     graph's batch size — a graph is its batch size.
 
     Honors the estimator's ablation flags (``heavy_only``,
-    ``include_communication``) and its ``use_engine`` routing: with the
-    engine, compiled graphs come from (and warm) the engine's caches;
-    without it, graphs are compiled directly and the engine is never
-    constructed.
+    ``include_communication``); compiled graphs come from (and warm) the
+    estimator's engine caches.
     """
     if plan is None:
         plan = SweepPlan(batch_sizes=(job.batch_size,))
@@ -481,7 +486,7 @@ def evaluate_sweep(
             f"plan batch sizes {plan.batch_sizes}; pass the zoo name to "
             f"sweep multiple batch sizes"
         )
-    gpu_keys = tuple(gpu_spec(key).key for key in plan.gpu_keys)
+    gpu_keys = plan.gpu_keys
 
     with span(
         "batch.sweep",
@@ -491,13 +496,10 @@ def evaluate_sweep(
         batches=len(plan.batch_sizes),
         pricings=len(plan.pricings),
     ):
-        compiled: List[CompiledGraph] = []
-        for batch_size in plan.batch_sizes:
-            graph = estimator.resolve_graph(model, batch_size)
-            if estimator.use_engine:
-                compiled.append(estimator.engine.compile(graph))
-            else:
-                compiled.append(compile_graph(graph, estimator.compute_models))
+        compiled: List[CompiledGraph] = [
+            estimator.engine.compile(model, batch_size)
+            for batch_size in plan.batch_sizes
+        ]
 
         # (G, B) compute tensor: one stacked evaluation per batch size,
         # served from the totals cache on repeated sweeps.
@@ -562,48 +564,10 @@ def evaluate_sweep(
         cost_usd=cost_usd,
         instances=instances,
         epochs=job.epochs,
-        compute_std_us=estimator.compute_models.compiled_std_us(
-            {t: x.shape[0] for t, x in compiled[0].heavy_features.items()}
-        ),
+        compute_std_us=estimator.compute_std_us(compiled[0]),
         _dataset_name=job.dataset.name,
     )
     registry = default_registry()
     registry.counter("batch.sweeps").inc()
     registry.counter("batch.candidates").inc(result.n_candidates)
     return result
-
-
-def sweep_candidates_reference(
-    estimator: CeerEstimator,
-    model: Union[str, OpGraph],
-    job: TrainingJob,
-    plan: Optional[SweepPlan] = None,
-) -> List[TrainingPrediction]:
-    """Per-candidate reference: one ``predict_training`` call per cell.
-
-    The equivalence oracle for :func:`evaluate_sweep` (and the slow side
-    of ``tools/bench_sweep_catalog.py``): loops pricing-major over the
-    same plan, skips the same unpriceable combos, and returns predictions
-    in :meth:`SweepResult.iter_candidates` order.
-    """
-    if plan is None:
-        plan = SweepPlan(batch_sizes=(job.batch_size,))
-    predictions: List[TrainingPrediction] = []
-    for pricing in plan.pricings:
-        for gpu_key in plan.gpu_keys:
-            for num_gpus in plan.gpu_counts:
-                try:
-                    instance = pricing.instance(gpu_key, num_gpus)
-                except CatalogError:
-                    continue
-                for batch_size in plan.batch_sizes:
-                    cell_job = TrainingJob(
-                        job.dataset, batch_size=batch_size, epochs=job.epochs
-                    )
-                    predictions.append(
-                        estimator.predict_training(
-                            model, gpu_key, num_gpus, cell_job,
-                            pricing=pricing, instance=instance,
-                        )
-                    )
-    return predictions

@@ -1,36 +1,28 @@
-"""Compiled, vectorized prediction engine: walk a graph once, predict many.
+"""Compile-once feature extraction: walk a graph once, predict many times.
 
-The scalar reference path (:meth:`ComputeTimeModels.predict_graph_us`)
-re-walks the op graph and re-extracts features for every single estimate.
-That is fine for one prediction, but the recommender sweeps 16 (GPU model,
-GPU count) candidates per query and the experiment drivers evaluate whole
-model zoos — all against the *same* graph with the *same* static size
-features. Eq. (2)'s per-op sum
+Eq. (2)'s per-op sum
 
     sum_i t_GPU,op_i(input_i)
 
 factorises by op type: every heavy op type contributes
 ``sum(clip(X @ w + b))`` for a feature matrix ``X`` that depends only on
 the graph, while light/CPU/unseen ops contribute ``count * median``. So a
-graph can be *compiled* once into per-type feature matrices plus a handful
-of counts, after which each (GPU model, flag) evaluation is a few dozen
-matrix ops — the same amortisation Habitat and PROFET use to make
-runtime prediction cheap enough to sit in a serving loop.
+graph is *compiled* once into per-type feature matrices plus a handful of
+counts (:class:`CompiledGraph`), and every evaluation after that is a few
+dozen matrix ops in :func:`~repro.core.batch.evaluate_compiled_batch_us`
+— the same amortisation Habitat and PROFET use to make runtime
+prediction cheap enough to sit in a serving loop.
 
-Three cache layers make the sweep path hot:
+:class:`PredictionEngine` holds the two caches in front of that kernel:
 
 * built graphs, keyed by ``(model_name, batch_size)`` (LRU);
 * compiled feature matrices, keyed by graph identity (LRU, holds a strong
-  reference to the graph so the identity key cannot dangle);
-* evaluated totals, keyed by ``(gpu_key, include_light, include_cpu)``
-  within each compiled entry — a 16-candidate sweep performs only 4
-  distinct compute evaluations (one per GPU model).
+  reference to the graph so the identity key cannot dangle).
 
-The engine is semantics-identical to the scalar path (see
-``tests/core/test_engine.py`` for the zoo-wide equivalence property):
-same prediction floor and extrapolation clip per op, same unseen-op policy
-(``strict_unseen`` raises, otherwise the light-median fallback), same
-``heavy_only``/``include_*`` ablation flags.
+Compiling keeps the paper's per-op semantics (Section IV-B): the
+heavy/light/CPU partition of the fitted classification, unseen GPU op
+types counted apart (``strict_unseen`` raises on them, otherwise they
+cost the light median), features exactly as :func:`features_for`.
 """
 
 from __future__ import annotations
@@ -41,12 +33,11 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.errors import UnseenOperationError
 from repro.graph.graph import OpGraph
 from repro.graph.ops import Device
 from repro.obs.spans import span
 from repro.profiling.features import features_for
-from repro.core.classify import CPU, HEAVY, LIGHT
+from repro.core.classify import CPU, HEAVY
 from repro.core.op_models import ComputeTimeModels
 
 #: Default LRU capacities. Graph entries are whole op graphs (the zoo has
@@ -68,7 +59,7 @@ class CompiledGraph:
             in graph order, features exactly as :func:`features_for`.
         n_light: known light GPU op instances.
         n_cpu: host-device ops plus GPU ops whose type classifies as CPU
-            (both priced at the CPU median by the scalar path).
+            (both priced at the CPU median).
         n_unseen: GPU ops whose type never appeared in training profiles.
         unseen_types: those types, first-encounter order (for error
             messages under ``strict_unseen``).
@@ -94,7 +85,7 @@ def compile_graph(graph: OpGraph, models: ComputeTimeModels) -> CompiledGraph:
 
     The result is classification-specific (it bakes in ``models``'
     heavy/light/CPU partition) but GPU-oblivious: the same compiled graph
-    serves every GPU model and every include-flag combination.
+    serves every GPU model, with or without ``heavy_only``.
     """
     classification = models.classification
     rows: Dict[str, list] = {}
@@ -131,40 +122,6 @@ def compile_graph(graph: OpGraph, models: ComputeTimeModels) -> CompiledGraph:
     )
 
 
-# obs: warm
-def evaluate_compiled_us(
-    compiled: CompiledGraph,
-    models: ComputeTimeModels,
-    gpu_key: str,
-    include_light: bool = True,
-    include_cpu: bool = True,
-    heavy_only: bool = False,
-) -> float:
-    """Evaluate Eq. (2)'s compute sum from a compiled graph.
-
-    Mirrors the scalar path exactly: per-op floor/clip inside
-    :meth:`RegressionModel.predict_batch`, unseen GPU ops raise under
-    ``strict_unseen`` (regardless of include flags) and otherwise fall
-    back to the light median, CPU-classified ops always cost the CPU
-    median.
-    """
-    if heavy_only:
-        include_light = include_cpu = False
-    if compiled.n_unseen and models.strict_unseen:
-        raise UnseenOperationError(compiled.unseen_types[0], gpu_key)
-    total = 0.0
-    for op_type, x in compiled.heavy_features.items():
-        model = models.heavy_model(gpu_key, op_type)
-        if model is None:
-            raise UnseenOperationError(op_type, gpu_key)
-        total += float(model.regression.predict_batch(x).sum())
-    if include_light:
-        total += (compiled.n_light + compiled.n_unseen) * models.light_median_us
-    if include_cpu:
-        total += compiled.n_cpu * models.cpu_median_us
-    return total
-
-
 class _LRU(OrderedDict):
     """A minimal LRU mapping: get refreshes recency, put evicts oldest."""
 
@@ -172,6 +129,7 @@ class _LRU(OrderedDict):
         super().__init__()
         self.capacity = capacity
 
+    # obs: warm
     def lookup(self, key: object) -> Optional[object]:
         if key not in self:
             return None
@@ -185,30 +143,15 @@ class _LRU(OrderedDict):
             self.popitem(last=False)
 
 
-class _CompiledEntry:
-    """A compiled graph plus its per-(GPU, flags) evaluated totals.
-
-    Holding the source graph keeps its ``id()`` alive, so the identity key
-    of the compiled cache can never alias a new graph; storing the totals
-    inside the entry means evicting a graph also evicts its totals.
-    """
-
-    __slots__ = ("graph", "compiled", "totals")
-
-    def __init__(self, graph: OpGraph, compiled: CompiledGraph) -> None:
-        self.graph = graph
-        self.compiled = compiled
-        self.totals: Dict[Tuple[str, bool, bool], float] = {}
-
-
 class PredictionEngine:
-    """Compile-once / evaluate-many facade over :class:`ComputeTimeModels`.
+    """Graph and compile caches over one fitted :class:`ComputeTimeModels`.
 
     One engine wraps one fitted model set (its classification is baked
     into compiled graphs). :class:`~repro.core.estimator.CeerEstimator`
-    constructs one automatically; the recommender and experiment drivers
-    share it through the estimator, so a full sweep compiles each graph
-    once and reuses evaluated totals across candidates.
+    constructs one automatically; single predictions, the recommender and
+    the experiment drivers share it through the estimator, so every
+    evaluation of a graph reuses one compilation. Evaluating Eq. (2) on a
+    compiled graph is :func:`~repro.core.batch.evaluate_compiled_batch_us`.
     """
 
     def __init__(
@@ -219,11 +162,12 @@ class PredictionEngine:
     ) -> None:
         self.compute_models = compute_models
         self._graphs: _LRU = _LRU(graph_cache_size)
+        # Values are (graph, compiled): holding the source graph keeps its
+        # id() alive, so the identity key can never alias a new graph.
         self._compiled: _LRU = _LRU(compiled_cache_size)
         self.stats: Dict[str, int] = {
             "graph_hits": 0, "graph_misses": 0,
             "compile_hits": 0, "compile_misses": 0,
-            "eval_hits": 0, "eval_misses": 0,
         }
 
     # ------------------------------------------------------------------
@@ -248,53 +192,20 @@ class PredictionEngine:
 
     def compile(self, model: Union[str, OpGraph], batch_size: int = 32) -> CompiledGraph:
         """Compile a graph (memoized on graph identity)."""
-        return self._entry(self.resolve_graph(model, batch_size)).compiled
-
-    def _entry(self, graph: OpGraph) -> _CompiledEntry:
+        graph = self.resolve_graph(model, batch_size)
         entry = self._compiled.lookup(id(graph))
         if entry is not None:
             self.stats["compile_hits"] += 1
-            return entry
+            return entry[1]
         self.stats["compile_misses"] += 1
         with span("engine.compile", graph=graph.name, ops=len(graph)):
-            entry = _CompiledEntry(graph, compile_graph(graph, self.compute_models))
-        self._compiled.insert(id(graph), entry)
-        return entry
-
-    # ------------------------------------------------------------------
-    def predict_graph_us(
-        self,
-        model: Union[str, OpGraph],
-        gpu_key: str,
-        batch_size: int = 32,
-        include_light: bool = True,
-        include_cpu: bool = True,
-        heavy_only: bool = False,
-    ) -> float:
-        """Vectorized equivalent of ``ComputeTimeModels.predict_graph_us``."""
-        if heavy_only:
-            include_light = include_cpu = False
-        entry = self._entry(self.resolve_graph(model, batch_size))
-        key = (gpu_key, include_light, include_cpu)
-        cached = entry.totals.get(key)
-        if cached is not None:
-            self.stats["eval_hits"] += 1
-            return cached
-        self.stats["eval_misses"] += 1
-        with span(
-            "engine.evaluate", graph=entry.compiled.graph_name, gpu=gpu_key,
-            include_light=include_light, include_cpu=include_cpu,
-        ):
-            total = evaluate_compiled_us(
-                entry.compiled, self.compute_models, gpu_key,
-                include_light=include_light, include_cpu=include_cpu,
-            )
-        entry.totals[key] = total
-        return total
+            compiled = compile_graph(graph, self.compute_models)
+        self._compiled.insert(id(graph), (graph, compiled))
+        return compiled
 
     # ------------------------------------------------------------------
     def clear(self) -> None:
-        """Drop all cached graphs, compilations, and totals."""
+        """Drop all cached graphs and compilations."""
         self._graphs.clear()
         self._compiled.clear()
         for k in self.stats:
@@ -306,7 +217,4 @@ class PredictionEngine:
             **self.stats,
             "graphs_cached": len(self._graphs),
             "compiled_cached": len(self._compiled),
-            "totals_cached": sum(
-                len(e.totals) for e in self._compiled.values()
-            ),
         }

@@ -17,7 +17,7 @@ dropping light/CPU contributions (Section IV-B; 15-25% extra error).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 if TYPE_CHECKING:
     from repro.core.batch import StackedOpModels
@@ -29,7 +29,7 @@ from repro.graph.graph import OpGraph
 from repro.units import us_to_hr, usd_per_hr_to_usd
 from repro.workloads.dataset import TrainingJob
 from repro.core.comm_model import CommunicationModel
-from repro.core.engine import PredictionEngine
+from repro.core.engine import CompiledGraph, PredictionEngine
 from repro.core.op_models import ComputeTimeModels
 
 
@@ -124,10 +124,11 @@ class CeerEstimator:
         comm_model: fitted per-(GPU, k) communication-overhead models.
         include_communication: set False to reproduce the Eq. (1) ablation.
         heavy_only: set True to reproduce the heavy-ops-only ablation.
-        use_engine: route the compute sum through the vectorized
-            :class:`~repro.core.engine.PredictionEngine` (compile-once /
-            evaluate-many with caching). Set False to force the scalar
-            per-op reference path — the benchmark harness times both.
+
+    Every compute sum, one prediction or a whole catalog sweep, is
+    evaluated by :func:`~repro.core.batch.evaluate_compiled_batch_us`
+    over graphs compiled once by :attr:`engine`; a single prediction is
+    its one-GPU slice.
     """
 
     def __init__(
@@ -136,25 +137,18 @@ class CeerEstimator:
         comm_model: CommunicationModel,
         include_communication: bool = True,
         heavy_only: bool = False,
-        use_engine: bool = True,
     ) -> None:
         self.compute_models = compute_models
         self.comm_model = comm_model
         self.include_communication = include_communication
         self.heavy_only = heavy_only
-        self.use_engine = use_engine
         self._engine: Optional[PredictionEngine] = None
         self._batch_models: Optional["StackedOpModels"] = None
-        self._graph_cache: Dict[Tuple[str, int], OpGraph] = {}
 
     @property
     def batch_models(self) -> "StackedOpModels":
-        """Stacked per-GPU coefficients for catalog-scale batched sweeps.
-
-        Lazy like :attr:`engine` — a scalar-only estimator never stacks —
-        and shared across sweeps so repeated
-        :func:`~repro.core.batch.evaluate_sweep` calls reuse the arrays.
-        """
+        """Stacked per-GPU coefficients and evaluated totals, built lazily
+        and shared by single predictions and batched sweeps alike."""
         if self._batch_models is None:
             from repro.core.batch import StackedOpModels
 
@@ -163,12 +157,8 @@ class CeerEstimator:
 
     @property
     def engine(self) -> PredictionEngine:
-        """The vectorized engine, created on first use.
-
-        Lazy so that a scalar-path estimator (``use_engine=False``) never
-        carries a dead compile/LRU cache; constructing one estimator per
-        sweep point stays cheap either way.
-        """
+        """The graph and compile caches, created on first use (so
+        constructing one estimator per sweep point stays cheap)."""
         if self._engine is None:
             self._engine = PredictionEngine(self.compute_models)
         return self._engine
@@ -181,63 +171,50 @@ class CeerEstimator:
 
         Callers that evaluate the same model many times (the recommender
         sweep, the figure drivers) resolve once and pass the graph back
-        in, so the engine compiles a single graph for the whole run. On
-        the scalar path (``use_engine=False``) the zoo builds the graph
-        directly — no engine, and no engine cache, is involved.
+        in, so the engine compiles a single graph for the whole run.
         """
-        if isinstance(model, OpGraph):
-            return model
-        if not self.use_engine:
-            from repro.models.zoo import build_model
-
-            cached = self._graph_cache.get((model, batch_size))
-            if cached is None:
-                cached = build_model(model, batch_size=batch_size)
-                self._graph_cache[(model, batch_size)] = cached
-            return cached
         return self.engine.resolve_graph(model, batch_size)
 
-    def _compute_us(self, graph: OpGraph, gpu_key: str) -> float:
-        if self.use_engine:
-            return self.engine.predict_graph_us(
-                graph, gpu_key, heavy_only=self.heavy_only
-            )
-        return self.compute_models.predict_graph_us(
-            graph, gpu_key, heavy_only=self.heavy_only
-        )
-
-    def compute_std_us(self, graph: OpGraph) -> float:
+    def compute_std_us(self, compiled: CompiledGraph) -> float:
         """Graph-level 1-sigma compute uncertainty (0 for per-GPU fits).
 
-        Guarded so the per-GPU backend never pays a graph walk: only the
-        transfer backend populates ``heavy_std_us``.
+        Guarded so the per-GPU backend never builds the op-count map: only
+        the transfer backend populates ``heavy_std_us``.
         """
         if not self.compute_models.heavy_std_us:
             return 0.0
-        if self.use_engine:
-            compiled = self.engine.compile(graph, graph.batch_size)
-        else:
-            from repro.core.engine import compile_graph
-
-            compiled = compile_graph(graph, self.compute_models)
         return self.compute_models.compiled_std_us(
             {t: x.shape[0] for t, x in compiled.heavy_features.items()}
         )
+
+    def _iteration_us(
+        self, model: Union[str, OpGraph], gpu_key: str, num_gpus: int,
+        batch_size: int,
+    ) -> Tuple[CompiledGraph, str, float, float]:
+        """(compiled graph, canonical GPU key, compute us, comm us) of one
+        iteration. The compute term is the one-GPU slice of the stacked
+        Eq. (2) kernel, served from its totals cache when warm."""
+        from repro.hardware.gpus import gpu_spec
+
+        gpu_key = gpu_spec(gpu_key).key  # accept family aliases like "P3"
+        compiled = self.engine.compile(model, batch_size)
+        compute = float(
+            self.batch_models.totals_us(compiled, (gpu_key,), self.heavy_only)[0]
+        )
+        comm = (
+            self.comm_model.predict_us(gpu_key, num_gpus, compiled.num_parameters)
+            if self.include_communication
+            else 0.0
+        )
+        return compiled, gpu_key, compute, comm
 
     def predict_iteration_us(
         self, model: Union[str, OpGraph], gpu_key: str, num_gpus: int = 1,
         batch_size: int = 32,
     ) -> float:
         """Per-iteration training time estimate (the bracket of Eq. (2))."""
-        from repro.hardware.gpus import gpu_spec
-
-        gpu_key = gpu_spec(gpu_key).key  # accept family aliases like "P3"
-        graph = self.resolve_graph(model, batch_size)
-        compute = self._compute_us(graph, gpu_key)
-        comm = (
-            self.comm_model.predict_us(gpu_key, num_gpus, graph.num_parameters)
-            if self.include_communication
-            else 0.0
+        _, _, compute, comm = self._iteration_us(
+            model, gpu_key, num_gpus, batch_size
         )
         return compute + comm
 
@@ -251,15 +228,8 @@ class CeerEstimator:
         instance: Optional[InstanceType] = None,
     ) -> TrainingPrediction:
         """Full Eq. (2) + cost prediction for a training job on an instance."""
-        from repro.hardware.gpus import gpu_spec
-
-        gpu_key = gpu_spec(gpu_key).key  # accept family aliases like "P3"
-        graph = self.resolve_graph(model, job.batch_size)
-        compute = self._compute_us(graph, gpu_key)
-        comm = (
-            self.comm_model.predict_us(gpu_key, num_gpus, graph.num_parameters)
-            if self.include_communication
-            else 0.0
+        compiled, gpu_key, compute, comm = self._iteration_us(
+            model, gpu_key, num_gpus, job.batch_size
         )
         if instance is None:
             instance = pricing.instance(gpu_key, num_gpus)
@@ -273,7 +243,7 @@ class CeerEstimator:
                 f"{num_gpus}x {gpu_key}; pass a matching instance or omit it"
             )
         return TrainingPrediction(
-            model=graph.name,
+            model=compiled.graph_name,
             gpu_key=instance.gpu_key,
             num_gpus=num_gpus,
             instance_name=instance.name,
@@ -282,5 +252,5 @@ class CeerEstimator:
             comm_overhead_us=comm,
             iterations=job.iterations(num_gpus),
             batch_size=job.batch_size,
-            compute_std_us=self.compute_std_us(graph),
+            compute_std_us=self.compute_std_us(compiled),
         )

@@ -21,12 +21,10 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import HardwareError, ModelingError, UnseenOperationError
-from repro.graph.graph import OpGraph
-from repro.graph.ops import Device, Operation
-from repro.profiling.features import feature_schema, features_for
+from repro.errors import HardwareError, ModelingError
+from repro.profiling.features import feature_schema
 from repro.profiling.records import ProfileDataset
-from repro.core.classify import CPU, HEAVY, LIGHT, OpClassification
+from repro.core.classify import OpClassification
 from repro.core.regression import RegressionModel, fit_proportional, fit_regression
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -152,75 +150,6 @@ class ComputeTimeModels:
         for op_type, count in heavy_counts.items():
             variance += count * self.heavy_std_us.get(op_type, 0.0) ** 2
         return math.sqrt(variance)
-
-    # ------------------------------------------------------------------
-    def predict_op_us(self, op: Operation, gpu_key: str) -> float:
-        """Estimate the compute time of one operation on one GPU model."""
-        if op.device is Device.CPU:
-            return self.cpu_median_us
-        if not self.classification.knows(op.op_type):
-            if self.strict_unseen:
-                raise UnseenOperationError(op.op_type, gpu_key)
-            return self.light_median_us
-        kind = self.classification.kind(op.op_type)
-        if kind == CPU:
-            return self.cpu_median_us
-        if kind == LIGHT:
-            return self.light_median_us
-        model = self.heavy_model(gpu_key, op.op_type)
-        if model is None:
-            raise UnseenOperationError(op.op_type, gpu_key)
-        return model.predict_us(features_for(op))
-
-    def predict_graph_us(
-        self,
-        graph: "OpGraph",
-        gpu_key: str,
-        include_light: bool = True,
-        include_cpu: bool = True,
-        heavy_only: bool = False,
-    ) -> float:
-        """Sum of per-op estimates over a graph — the Σ term of Eq. (1)/(2).
-
-        ``heavy_only`` (or unsetting the include flags) reproduces the
-        paper's Section IV-B ablation: dropping light/CPU contributions
-        raises error to 15-25%.
-
-        This is the scalar *reference* implementation; the vectorized
-        :class:`~repro.core.engine.PredictionEngine` must match it within
-        float tolerance. Each op is classified exactly once, and the
-        unseen-GPU-op policy is flag-independent: under ``strict_unseen``
-        an unclassified GPU op type always raises
-        :class:`UnseenOperationError` (even when ``heavy_only`` would
-        discard its contribution), otherwise it costs the light median
-        and is gated by ``include_light`` like any other light op.
-        """
-        if heavy_only:
-            include_light = include_cpu = False
-        total = 0.0
-        for op in graph:
-            if op.device is Device.CPU:
-                if include_cpu:
-                    total += self.cpu_median_us
-                continue
-            if not self.classification.knows(op.op_type):
-                if self.strict_unseen:
-                    raise UnseenOperationError(op.op_type, gpu_key)
-                if include_light:
-                    total += self.light_median_us
-                continue
-            kind = self.classification.kind(op.op_type)
-            if kind == HEAVY:
-                model = self.heavy_model(gpu_key, op.op_type)
-                if model is None:
-                    raise UnseenOperationError(op.op_type, gpu_key)
-                total += model.predict_us(features_for(op))
-            elif kind == CPU:
-                if include_cpu:
-                    total += self.cpu_median_us
-            elif include_light:
-                total += self.light_median_us
-        return total
 
     def heavy_op_types(self) -> Tuple[str, ...]:
         return tuple(sorted(self.classification.heavy))

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.cloud.pricing import ON_DEMAND, PricingScheme
-from repro.errors import CatalogError, RecommendationError
+from repro.errors import RecommendationError
 from repro.graph.graph import OpGraph
 from repro.hardware.gpus import GPU_KEYS
-from repro.obs.spans import span, tracing_enabled
+from repro.obs.spans import span
 from repro.workloads.dataset import TrainingJob
 from repro.core.estimator import CeerEstimator, TrainingPrediction
 
@@ -204,8 +204,6 @@ class Recommender:
         and compiled *once*, one stacked matmul per heavy op type prices
         every GPU model simultaneously, and candidates are materialised
         from the result tensors — no per-candidate prediction calls.
-        :meth:`sweep_reference` keeps the historical per-candidate loop
-        as the equivalence oracle.
 
         With ``check_memory`` enabled, GPU models that cannot hold the
         model's working set are dropped from the sweep entirely (under
@@ -221,68 +219,17 @@ class Recommender:
                 f"model {graph.name!r} does not fit in any "
                 f"candidate GPU's memory at batch {job.batch_size}"
             )
-        # Only inspect the engine when the estimator actually routes
-        # through it: touching the lazy `engine` property on a scalar
-        # estimator would build a PredictionEngine just for accounting.
-        engine = (
-            self.estimator.engine
-            if tracing_enabled() and self.estimator.use_engine
-            else None
-        )
-        stats_before = dict(engine.stats) if engine is not None else {}
         with span(
             "recommend.sweep", model=graph.name,
             candidates=len(gpu_keys) * len(self.gpu_counts),
-        ) as sweep_span:
+        ):
             plan = SweepPlan(
                 gpu_keys=gpu_keys,
                 gpu_counts=self.gpu_counts,
                 batch_sizes=(job.batch_size,),
                 pricings=(self.pricing,),
             )
-            predictions = evaluate_sweep(
-                self.estimator, graph, job, plan
-            ).predictions()
-            if engine is not None:
-                # Per-sweep engine accounting: how much of the candidate
-                # matrix was served from caches vs compiled/evaluated.
-                for stat_name, count in engine.stats.items():
-                    delta = count - stats_before.get(stat_name, 0)
-                    if delta:
-                        sweep_span.set_attribute(stat_name, delta)
-        return predictions
-
-    def sweep_reference(
-        self, model: Union[str, OpGraph], job: TrainingJob
-    ) -> List[TrainingPrediction]:
-        """Per-candidate reference sweep: one ``predict_training`` per cell.
-
-        The pre-batching implementation, kept as the equivalence oracle
-        (tests assert rel diff < 1e-9 against :meth:`sweep`) and as the
-        slow side of ``tools/bench_sweep_catalog.py``. Same candidate
-        order, same memory filtering; (GPU, count) pairs the pricing
-        scheme cannot serve are skipped exactly as the batched path masks
-        them.
-        """
-        graph = self.estimator.resolve_graph(model, job.batch_size)
-        gpu_keys = self._memory_feasible_gpus(graph)
-        if not gpu_keys:
-            raise RecommendationError(
-                f"model {graph.name!r} does not fit in any "
-                f"candidate GPU's memory at batch {job.batch_size}"
-            )
-        predictions: List[TrainingPrediction] = []
-        for gpu_key in gpu_keys:
-            for k in self.gpu_counts:
-                try:
-                    predictions.append(
-                        self.estimator.predict_training(
-                            graph, gpu_key, k, job, pricing=self.pricing
-                        )
-                    )
-                except CatalogError:
-                    continue
-        return predictions
+            return evaluate_sweep(self.estimator, graph, job, plan).predictions()
 
     def recommend(
         self,

@@ -83,7 +83,8 @@ class RegressionModel:
 
         One ``X @ w`` plus the same clip/floor as :meth:`predict_one`:
         ``predict_batch(X)[i] == predict_one(X[i])`` for every row (the
-        engine's equivalence tests assert this across the model zoo).
+        stacked kernel replays the same clip-then-floor; see
+        :func:`~repro.core.batch.evaluate_compiled_batch_us`).
         """
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:

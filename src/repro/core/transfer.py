@@ -31,7 +31,7 @@ over size features alone::
     intercept_g = b + a . d
     coef_g[j]   = c[j] + d0 * e0[j] + d1 * e1[j]
 
-so the vectorized engine and the stacked (G, K, B) sweep tensors work
+so the Eq. (2) kernel and the stacked (G, K, B) sweep tensors work
 unchanged for any catalog GPU — including ones admitted from a spec
 sheet that were never profiled. Each fit also carries its residual
 standard deviation, which propagates to prediction-level uncertainty
@@ -133,8 +133,8 @@ class TransferOpModel:
         """Specialize to one device: an ordinary size-feature regression.
 
         The collapsed model has the same degree and feature schema as a
-        per-GPU fit, so every downstream consumer (scalar path, engine,
-        stacked sweep tensors) works on it unchanged.
+        per-GPU fit, so every downstream consumer (the Eq. (2) kernel,
+        the stacked sweep tensors) works on it unchanged.
         """
         d0, d1 = device_features(spec, reference)
         e0, e1 = self.interaction_coef

@@ -5,7 +5,7 @@ A long-lived server (:mod:`repro.serve`) keeps one fitted
 requests. Two properties matter there that the batch CLI never needed:
 
 * **immutability** — nothing in a request handler may flip ablation
-  flags (``heavy_only``, ``include_communication``, ``use_engine``) or
+  flags (``heavy_only``, ``include_communication``) or
   rebind the fitted models mid-flight: a request that starts under one
   configuration must finish under it. :class:`ReadOnlyEstimator` wraps
   the estimator and raises on any attribute assignment while delegating

@@ -44,7 +44,6 @@ SPAN_CATALOG: Mapping[str, str] = {
     "check.run": "one repro.staticcheck run over a path set",
     "engine.build_graph": "zoo model -> OpGraph construction (miss path)",
     "engine.compile": "OpGraph -> CompiledGraph feature matrices (miss path)",
-    "engine.evaluate": "one compiled-graph total evaluation (miss path)",
     "experiments.ablations": "ablation study driver",
     "experiments.ext.batch_size": "batch-size sensitivity extension",
     "experiments.ext.estimator_choice": "estimator-choice extension",

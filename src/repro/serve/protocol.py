@@ -18,6 +18,7 @@ numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -134,11 +135,18 @@ def _float_field(body: Mapping[str, Any], name: str, endpoint: str,
     if name not in body:
         return default
     value = body[name]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProtocolError(
-            f"{endpoint}: field {name!r} must be a number, got {value!r}"
-        )
-    return float(value)
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        # json.loads accepts NaN, Infinity and 1e999; none is a usable
+        # budget, slack or risk weight.
+        if math.isfinite(number):
+            return number
+    raise ProtocolError(
+        f"{endpoint}: field {name!r} must be a finite number, got {value!r}"
+    )
 
 
 def _pricing_field(body: Mapping[str, Any], endpoint: str) -> str:

@@ -1,7 +1,7 @@
 """repro.staticcheck: custom static analysis for the Ceer reproduction.
 
 Token-level lints (unit suffix discipline, mixed-unit arithmetic, bare
-conversion literals, engine routing, determinism), a semantic
+conversion literals, artifact routing, determinism), a semantic
 graph-contract checker, and the :mod:`repro.staticcheck.astcheck`
 AST/dataflow engine (tensor-axis contracts, fork/pickle safety,
 fingerprint purity, observability contracts) — all driven by ``repro

@@ -52,7 +52,6 @@ from repro.staticcheck.findings import Finding, apply_pragmas, parse_pragmas
 from repro.staticcheck.graph_contract import (
     RULE_MODELS, RULE_REGISTRY, RULE_ZOO, check_contracts,
 )
-from repro.staticcheck.routing_lint import RULE_ROUTING, check_engine_routing
 from repro.staticcheck.unit_lint import (
     RULE_LITERAL, RULE_MIX, RULE_SUFFIX, check_unit_safety,
 )
@@ -64,7 +63,6 @@ ALL_RULES = {
     RULE_SUFFIX: "time/cost identifiers must carry a unit suffix",
     RULE_MIX: "+/-/comparison must not mix different unit suffixes",
     RULE_LITERAL: "conversion literals must go through repro.units",
-    RULE_ROUTING: "predictions route through PredictionEngine outside core",
     RULE_ARTIFACT: "expensive artifacts cache via the workspace, not lru_cache",
     RULE_DETERMINISM: "no wall clocks / unseeded randomness",
     RULE_REGISTRY: "op registry and feature schemas stay in lockstep",
@@ -83,7 +81,7 @@ ALL_RULES = {
 #: rule id -> rule family, for report grouping and baseline v2 entries.
 RULE_FAMILIES: Dict[str, str] = {
     RULE_SUFFIX: "units", RULE_MIX: "units", RULE_LITERAL: "units",
-    RULE_ROUTING: "routing", RULE_ARTIFACT: "routing",
+    RULE_ARTIFACT: "routing",
     RULE_DETERMINISM: "determinism",
     RULE_REGISTRY: "contracts", RULE_ZOO: "contracts", RULE_MODELS: "contracts",
     RULE_PARSE: "parse",
@@ -94,13 +92,12 @@ RULE_FAMILIES: Dict[str, str] = {
 #: after these via :func:`run_ast_passes`).
 AST_PASSES: Tuple[Callable[[ast.AST, str], List[Finding]], ...] = (
     check_unit_safety,
-    check_engine_routing,
     check_artifact_routing,
     check_determinism,
 )
 
 #: Bump when any pass changes behaviour: invalidates analysis caches.
-ANALYSIS_VERSION = 2
+ANALYSIS_VERSION = 3
 
 CACHE_VERSION = 1
 

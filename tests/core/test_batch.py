@@ -1,11 +1,10 @@
 """Tests for the batched catalog sweep (repro.core.batch).
 
 The load-bearing contract is numerical equivalence: the tensor path must
-reproduce the per-candidate reference loop to rel diff < 1e-9 (in
-practice it matches to ulp level, because it replays the scalar
-arithmetic operation-for-operation). Everything else — masking,
-candidate ordering, the frontier, the plan's validation — is checked
-against the same reference.
+reproduce the scalar per-op oracle (``tests/oracle.py``), one candidate at
+a time, to rel diff < 1e-9. Everything else — masking, candidate
+ordering, the frontier, the plan's validation — is checked against the
+same oracle.
 """
 
 import numpy as np
@@ -18,7 +17,6 @@ from repro.core.batch import (
     StackedOpModels,
     SweepPlan,
     evaluate_sweep,
-    sweep_candidates_reference,
 )
 from repro.core.estimator import CeerEstimator
 from repro.core.pareto import pareto_frontier
@@ -26,11 +24,10 @@ from repro.errors import CatalogError, ModelingError, UnseenOperationError
 from repro.graph.graph import OpGraph
 from repro.models.zoo import model_names
 from repro.workloads.dataset import IMAGENET_6400, TrainingJob
+from tests.oracle import REL_TOL as EQUIVALENCE_BOUND
+from tests.oracle import oracle_graph_us, oracle_sweep
 
 JOB = TrainingJob(IMAGENET_6400, batch_size=32)
-
-#: The acceptance bound; the implementation actually matches to ~1e-15.
-EQUIVALENCE_BOUND = 1e-9
 
 #: A small but fully-representative plan: both axes extend past the
 #: paper's grid (k=6 forces a proxy of the 8-GPU hosts and masks M60),
@@ -42,7 +39,7 @@ SMALL_PLAN_KWARGS = dict(
 
 
 def _assert_equivalent(result, reference):
-    """Batched result vs reference-loop predictions: same candidates,
+    """Batched result vs oracle predictions: same candidates,
     same numbers (rel diff < 1e-9 on time and cost)."""
     cells = list(result.iter_candidates())
     assert len(cells) == len(reference) == result.n_candidates
@@ -63,27 +60,16 @@ class TestEquivalence:
         plan = SweepPlan(**SMALL_PLAN_KWARGS)
         for name in model_names():
             result = evaluate_sweep(ceer_small, name, JOB, plan)
-            reference = sweep_candidates_reference(ceer_small, name, JOB, plan)
+            reference = oracle_sweep(ceer_small, name, JOB, plan)
             _assert_equivalent(result, reference)
 
     def test_full_catalog_inception(self, ceer_small):
         plan = SweepPlan.full_catalog()
         result = evaluate_sweep(ceer_small, "inception_v3", JOB, plan)
-        reference = sweep_candidates_reference(
+        reference = oracle_sweep(
             ceer_small, "inception_v3", JOB, plan
         )
         _assert_equivalent(result, reference)
-
-    def test_scalar_estimator_path(self, ceer_small):
-        """use_engine=False compiles directly; numbers are unchanged."""
-        scalar = CeerEstimator(
-            ceer_small.compute_models, ceer_small.comm_model, use_engine=False
-        )
-        plan = SweepPlan(batch_sizes=(32,))
-        result = evaluate_sweep(scalar, "alexnet", JOB, plan)
-        reference = sweep_candidates_reference(scalar, "alexnet", JOB, plan)
-        _assert_equivalent(result, reference)
-        assert scalar._engine is None  # the sweep never built an engine
 
     @pytest.mark.parametrize(
         "flags",
@@ -96,7 +82,7 @@ class TestEquivalence:
         )
         plan = SweepPlan(**SMALL_PLAN_KWARGS)
         result = evaluate_sweep(ablated, "resnet_101", JOB, plan)
-        reference = sweep_candidates_reference(ablated, "resnet_101", JOB, plan)
+        reference = oracle_sweep(ablated, "resnet_101", JOB, plan)
         _assert_equivalent(result, reference)
 
     def test_repeated_sweep_served_from_caches_identically(self, ceer_small):
@@ -110,7 +96,7 @@ class TestEquivalence:
         plan = SweepPlan(batch_sizes=(tiny_graph.batch_size,))
         job = TrainingJob(IMAGENET_6400, batch_size=tiny_graph.batch_size)
         result = evaluate_sweep(ceer_small, tiny_graph, job, plan)
-        reference = sweep_candidates_reference(ceer_small, tiny_graph, job, plan)
+        reference = oracle_sweep(ceer_small, tiny_graph, job, plan)
         _assert_equivalent(result, reference)
 
 
@@ -132,7 +118,7 @@ class TestMasking:
     def test_masked_cells_match_reference_skips(self, ceer_small):
         plan = SweepPlan(gpu_counts=(1, 16), batch_sizes=(32,))
         result = evaluate_sweep(ceer_small, "alexnet", JOB, plan)
-        reference = sweep_candidates_reference(ceer_small, "alexnet", JOB, plan)
+        reference = oracle_sweep(ceer_small, "alexnet", JOB, plan)
         _assert_equivalent(result, reference)
 
     def test_time_tensor_is_never_masked(self, ceer_small):
@@ -154,7 +140,7 @@ class TestStacking:
         totals = stacked.totals_us(compiled, gpu_keys)
         for g, gpu_key in enumerate(gpu_keys):
             assert totals[g] == pytest.approx(
-                models.predict_graph_us(tiny_graph, gpu_key),
+                oracle_graph_us(models, tiny_graph, gpu_key),
                 rel=EQUIVALENCE_BOUND,
             )
 
@@ -197,6 +183,21 @@ class TestSweepPlan:
         with pytest.raises(ModelingError):
             SweepPlan(batch_sizes=(32, 32))
 
+    def test_family_aliases_canonicalised_before_duplicate_check(self):
+        """Regression: ("V100", "P3") name one GPU twice and used to sweep
+        every V100 candidate twice."""
+        assert SweepPlan(gpu_keys=("P3", "G4")).gpu_keys == ("V100", "T4")
+        with pytest.raises(ModelingError, match="duplicates"):
+            SweepPlan(gpu_keys=("V100", "P3"))
+
+    def test_recommender_rejects_alias_duplicates(self, ceer_small):
+        from repro.core.recommend import Recommender
+
+        with pytest.raises(ModelingError, match="duplicates"):
+            Recommender(ceer_small, gpu_keys=("V100", "P3")).sweep(
+                "alexnet", JOB
+            )
+
     def test_full_catalog_spans_grown_menu(self):
         plan = SweepPlan.full_catalog()
         assert plan.gpu_counts == tuple(range(1, 17))  # K80 goes to 16
@@ -223,7 +224,7 @@ class TestFrontier:
     def test_matches_list_pareto_over_reference(self, ceer_small):
         plan = SweepPlan(**SMALL_PLAN_KWARGS)
         result = evaluate_sweep(ceer_small, "inception_v3", JOB, plan)
-        reference = sweep_candidates_reference(
+        reference = oracle_sweep(
             ceer_small, "inception_v3", JOB, plan
         )
         via_tensor = result.frontier()

@@ -108,43 +108,38 @@ class TestInstanceValidation:
 
 
 class TestLazyEngine:
-    def _fresh(self, ceer_small, use_engine):
+    def _fresh(self, ceer_small):
         from repro.core.estimator import CeerEstimator
 
-        return CeerEstimator(
-            ceer_small.compute_models, ceer_small.comm_model,
-            use_engine=use_engine,
-        )
+        return CeerEstimator(ceer_small.compute_models, ceer_small.comm_model)
 
-    def test_scalar_estimator_never_builds_an_engine(self, ceer_small):
-        """Regression: the estimator used to construct a PredictionEngine
-        (compile cache and all) even with ``use_engine=False``."""
-        estimator = self._fresh(ceer_small, use_engine=False)
-        estimator.predict_training("alexnet", "V100", 1, JOB)
-        estimator.resolve_graph("inception_v1")
-        assert estimator._engine is None
-
-    def test_scalar_resolve_graph_memoizes(self, ceer_small):
-        estimator = self._fresh(ceer_small, use_engine=False)
+    def test_resolve_graph_memoizes(self, ceer_small):
+        estimator = self._fresh(ceer_small)
         first = estimator.resolve_graph("alexnet")
         assert estimator.resolve_graph("alexnet") is first
         # A different batch size is a different graph.
         assert estimator.resolve_graph("alexnet", batch_size=8) is not first
 
     def test_engine_created_once_on_first_use(self, ceer_small):
-        estimator = self._fresh(ceer_small, use_engine=True)
+        estimator = self._fresh(ceer_small)
         assert estimator._engine is None
         engine = estimator.engine
         assert estimator.engine is engine
         assert estimator._engine is engine
 
     def test_scalar_and_engine_paths_agree(self, ceer_small):
-        scalar = self._fresh(ceer_small, use_engine=False)
-        engined = self._fresh(ceer_small, use_engine=True)
+        """The estimator (a one-GPU kernel slice) agrees with the scalar
+        per-op oracle."""
+        from repro.models.zoo import build_model
+        from tests.oracle import REL_TOL, oracle_prediction
+
+        estimator = self._fresh(ceer_small)
         for model in ("alexnet", "inception_v1"):
-            assert engined.predict_iteration_us(
-                model, "V100", 2
-            ) == pytest.approx(scalar.predict_iteration_us(model, "V100", 2))
+            graph = build_model(model, batch_size=JOB.batch_size)
+            got = estimator.predict_training(model, "V100", 2, JOB)
+            want = oracle_prediction(estimator, graph, "V100", 2, JOB)
+            assert got.total_us == pytest.approx(want.total_us, rel=REL_TOL)
+            assert got.instance_name == want.instance_name
 
 
 class TestVariants:

@@ -1,14 +1,23 @@
-"""Tests for the fitted per-op compute-time models."""
+"""Tests for the fitted per-op compute-time models.
+
+Per-op semantics (paper, Section IV-B) are checked on what the package
+actually predicts: the Eq. (2) kernel over graphs of a few ops.
+"""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.errors import ModelingError, UnseenOperationError
 from repro.core.classify import classify_operations
+from repro.core.engine import compile_graph
 from repro.core.op_models import fit_compute_models
+from repro.graph.graph import OpGraph
 from repro.graph.ops import Operation
 from repro.graph.shapes import TensorShape
 from repro.models import build_model
 from repro.profiling.records import ProfileDataset
+from tests.oracle import kernel_us, oracle_op_us
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +49,24 @@ class TestFit:
             fit_compute_models(ProfileDataset([]), classification)
 
 
+def predicted_us(models, ops, gpu_key, heavy_only=False):
+    """What the package predicts for ``ops`` on ``gpu_key``: the one-GPU
+    slice of the Eq. (2) kernel over a graph holding just those ops."""
+    if isinstance(ops, OpGraph):
+        graph = ops
+    else:
+        graph = OpGraph(name="ops", batch_size=4)
+        for op in ops:
+            graph.add(replace(op, input_ops=()))
+    return kernel_us(models, graph, gpu_key, heavy_only)
+
+
+TANH = Operation(
+    name="x/Tanh", op_type="Tanh",
+    inputs=(TensorShape.of(4, 4),), outputs=(TensorShape.of(4, 4),),
+)
+
+
 class TestPredictOp:
     def test_heavy_prediction_near_truth(self, compute_models):
         """Predictions for a held-out model's convolutions track the
@@ -50,7 +77,7 @@ class TestPredictOp:
         convs = graph.ops_of_type("Conv2D")[:20]
         errors = []
         for op in convs:
-            predicted = compute_models.predict_op_us(op, "T4")
+            predicted = predicted_us(compute_models, [op], "T4")
             truth = base_time_us(op, "T4")
             errors.append(abs(predicted - truth) / truth)
         assert sum(errors) / len(errors) < 0.12
@@ -60,9 +87,9 @@ class TestPredictOp:
             name="x/Reshape", op_type="Reshape",
             inputs=(TensorShape.of(4, 4),), outputs=(TensorShape.of(16),),
         )
-        assert compute_models.predict_op_us(op, "V100") == compute_models.light_median_us
+        assert predicted_us(compute_models, [op], "V100") == compute_models.light_median_us
         # GPU-oblivious (paper, Section IV-B)
-        assert compute_models.predict_op_us(op, "K80") == compute_models.light_median_us
+        assert predicted_us(compute_models, [op], "K80") == compute_models.light_median_us
 
     def test_cpu_uses_cpu_median(self, compute_models):
         op = Operation(
@@ -70,81 +97,68 @@ class TestPredictOp:
             inputs=(TensorShape.of(4, dtype="int64"),),
             outputs=(TensorShape.of(4, dtype="int64"),),
         )
-        assert compute_models.predict_op_us(op, "V100") == compute_models.cpu_median_us
+        assert predicted_us(compute_models, [op], "V100") == compute_models.cpu_median_us
 
     def test_unseen_type_falls_back_to_light_median(self, compute_models):
-        op = Operation(
-            name="x/Tanh", op_type="Tanh",
-            inputs=(TensorShape.of(4, 4),), outputs=(TensorShape.of(4, 4),),
-        )
-        assert compute_models.predict_op_us(op, "V100") == compute_models.light_median_us
+        assert predicted_us(compute_models, [TANH], "V100") == compute_models.light_median_us
 
     def test_strict_mode_raises_on_unseen(self, train_profiles_small):
         classification = classify_operations(train_profiles_small)
         models = fit_compute_models(
             train_profiles_small, classification, strict_unseen=True
         )
-        op = Operation(
-            name="x/Tanh", op_type="Tanh",
-            inputs=(TensorShape.of(4, 4),), outputs=(TensorShape.of(4, 4),),
-        )
         with pytest.raises(UnseenOperationError):
-            models.predict_op_us(op, "V100")
+            predicted_us(models, [TANH], "V100")
 
 
 class TestPredictGraph:
     def test_sum_over_ops(self, compute_models, tiny_graph):
-        total = compute_models.predict_graph_us(tiny_graph, "V100")
+        total = predicted_us(compute_models, tiny_graph, "V100")
         manual = sum(
-            compute_models.predict_op_us(op, "V100") for op in tiny_graph
+            oracle_op_us(compute_models, op, "V100") for op in tiny_graph
         )
         assert total == pytest.approx(manual)
 
     def test_heavy_only_drops_light_and_cpu(self, compute_models, tiny_graph):
-        full = compute_models.predict_graph_us(tiny_graph, "V100")
-        heavy = compute_models.predict_graph_us(tiny_graph, "V100", heavy_only=True)
+        full = predicted_us(compute_models, tiny_graph, "V100")
+        heavy = predicted_us(compute_models, tiny_graph, "V100", heavy_only=True)
         assert heavy < full
 
     def test_include_flags(self, compute_models, tiny_graph):
-        no_cpu = compute_models.predict_graph_us(tiny_graph, "V100", include_cpu=False)
-        no_light = compute_models.predict_graph_us(tiny_graph, "V100", include_light=False)
-        full = compute_models.predict_graph_us(tiny_graph, "V100")
-        assert no_cpu < full and no_light <= full
+        """heavy_only drops exactly the light and CPU median terms."""
+        compiled = compile_graph(tiny_graph, compute_models)
+        assert compiled.n_light and compiled.n_cpu
+        full = predicted_us(compute_models, tiny_graph, "V100")
+        heavy = predicted_us(compute_models, tiny_graph, "V100", heavy_only=True)
+        assert full - heavy == pytest.approx(
+            compiled.n_light * compute_models.light_median_us
+            + compiled.n_cpu * compute_models.cpu_median_us
+        )
 
     def _unseen_graph(self):
-        from repro.graph.graph import OpGraph
-
         graph = OpGraph(name="unseen", batch_size=4)
-        graph.add(
-            Operation(
-                name="x/Tanh", op_type="Tanh",
-                inputs=(TensorShape.of(4, 4),), outputs=(TensorShape.of(4, 4),),
-            )
-        )
+        graph.add(TANH)
         return graph
 
     def test_unseen_op_costs_light_median_when_lenient(self, compute_models):
         graph = self._unseen_graph()
-        total = compute_models.predict_graph_us(graph, "V100")
+        total = predicted_us(compute_models, graph, "V100")
         assert total == pytest.approx(compute_models.light_median_us)
         # ... and contributes nothing once light ops are excluded.
-        assert compute_models.predict_graph_us(graph, "V100", heavy_only=True) == 0.0
+        assert predicted_us(compute_models, graph, "V100", heavy_only=True) == 0.0
 
     def test_strict_unseen_raises_even_under_heavy_only(self, train_profiles_small):
         """The unseen-op policy is flag-independent: strict mode must not
         silently skip an unseen GPU op just because heavy_only discards
-        its light-median contribution (seed behaviour, now fixed)."""
+        its light-median contribution."""
         classification = classify_operations(train_profiles_small)
         strict = fit_compute_models(
             train_profiles_small, classification, strict_unseen=True
         )
         graph = self._unseen_graph()
-        with pytest.raises(UnseenOperationError):
-            strict.predict_graph_us(graph, "V100")
-        with pytest.raises(UnseenOperationError):
-            strict.predict_graph_us(graph, "V100", heavy_only=True)
-        with pytest.raises(UnseenOperationError):
-            strict.predict_graph_us(graph, "V100", include_light=False)
+        for heavy_only in (False, True):
+            with pytest.raises(UnseenOperationError):
+                predicted_us(strict, graph, "V100", heavy_only=heavy_only)
 
 
 class TestProportionalFallbackSurfacing:

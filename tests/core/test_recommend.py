@@ -4,7 +4,7 @@ import pytest
 
 from repro.cloud.pricing import MARKET_RATIO
 from repro.errors import RecommendationError
-from repro.core.estimator import CeerEstimator
+from repro.core.batch import SweepPlan
 from repro.core.recommend import (
     HourlyBudget,
     MinimizeCost,
@@ -13,8 +13,8 @@ from repro.core.recommend import (
     TotalBudget,
     WeightedTimeCost,
 )
-from repro.obs.spans import disable_tracing, enable_tracing
 from repro.workloads.dataset import IMAGENET_6400, TrainingJob
+from tests.oracle import oracle_sweep
 
 JOB = TrainingJob(IMAGENET_6400, batch_size=32)
 
@@ -34,7 +34,10 @@ class TestSweep:
 
     def test_matches_per_candidate_reference(self, recommender):
         batched = recommender.sweep("inception_v1", JOB)
-        reference = recommender.sweep_reference("inception_v1", JOB)
+        reference = oracle_sweep(
+            recommender.estimator, "inception_v1", JOB,
+            SweepPlan(batch_sizes=(JOB.batch_size,)),
+        )
         assert len(batched) == len(reference)
         for got, ref in zip(batched, reference):
             assert got.instance_name == ref.instance_name
@@ -51,22 +54,6 @@ class TestSweep:
             by_gpu.setdefault(p.gpu_key, set()).add(p.num_gpus)
         assert by_gpu["V100"] == {1, 8}
         assert by_gpu["M60"] == {1}
-
-    def test_tracing_without_engine_does_not_build_engine(self, ceer_small):
-        """Regression: the sweep's tracing block used to read
-        ``estimator.engine`` unconditionally, forcing the lazy engine
-        into existence (and crashing the stats delta) on scalar-path
-        estimators whenever tracing was on."""
-        scalar = CeerEstimator(
-            ceer_small.compute_models, ceer_small.comm_model, use_engine=False
-        )
-        enable_tracing()
-        try:
-            predictions = Recommender(scalar).sweep("alexnet", JOB)
-        finally:
-            disable_tracing()
-        assert len(predictions) == 16
-        assert scalar._engine is None
 
 
 class TestObjectives:

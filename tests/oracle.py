@@ -1,0 +1,171 @@
+"""The scalar Eq. (2) oracle: the per-op sum, one operation at a time.
+
+The package evaluates Eq. (2)'s compute sum in exactly one place, the
+stacked kernel :func:`repro.core.batch.evaluate_compiled_batch_us`; a
+single ``predict_training`` is its one-GPU slice. This module is the
+independent reference the kernel is checked against — a plain walk over
+the graph with no compilation, no stacking and no caches — and the only
+copy of it. Tests and benchmarks compare the two within :data:`REL_TOL`;
+:func:`kernel_us` is the kernel side of that comparison for one graph.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from typing import Dict, List, Optional, Tuple, Union
+
+from repro.cloud.pricing import ON_DEMAND, PricingScheme
+from repro.core.batch import StackedOpModels, SweepPlan
+from repro.core.classify import CPU, HEAVY, LIGHT
+from repro.core.engine import compile_graph
+from repro.core.estimator import CeerEstimator, TrainingPrediction
+from repro.core.op_models import ComputeTimeModels
+from repro.errors import CatalogError, UnseenOperationError
+from repro.graph.graph import OpGraph
+from repro.graph.ops import Device, Operation
+from repro.hardware.gpus import gpu_spec
+from repro.models.zoo import build_model
+from repro.profiling.features import features_for
+from repro.workloads.dataset import TrainingJob
+
+#: Kernel and oracle agree to this relative tolerance. Not bitwise: the
+#: kernel sums each op type's predictions with one vectorised reduction.
+REL_TOL = 1e-9
+
+
+def _is_heavy(models: ComputeTimeModels, op: Operation) -> bool:
+    return (
+        op.device is not Device.CPU
+        and models.classification.knows(op.op_type)
+        and models.classification.kind(op.op_type) == HEAVY
+    )
+
+
+def oracle_op_us(models: ComputeTimeModels, op: Operation, gpu_key: str) -> float:
+    """``t_GPU,op(input)`` for one operation (paper, Section IV-B)."""
+    if op.device is Device.CPU:
+        return models.cpu_median_us
+    if not models.classification.knows(op.op_type):
+        if models.strict_unseen:
+            raise UnseenOperationError(op.op_type, gpu_key)
+        return models.light_median_us
+    kind = models.classification.kind(op.op_type)
+    if kind == CPU:
+        return models.cpu_median_us
+    if kind == LIGHT:
+        return models.light_median_us
+    model = models.heavy_model(gpu_key, op.op_type)
+    if model is None:
+        raise UnseenOperationError(op.op_type, gpu_key)
+    return model.predict_us(features_for(op))
+
+
+def oracle_graph_us(
+    models: ComputeTimeModels, graph: OpGraph, gpu_key: str,
+    heavy_only: bool = False,
+) -> float:
+    """The Σ term of Eq. (2). ``heavy_only`` drops light, CPU and unseen
+    ops from the sum, but an unseen op still raises under
+    ``strict_unseen``."""
+    total = 0.0
+    for op in graph:
+        op_us = oracle_op_us(models, op, gpu_key)
+        if not heavy_only or _is_heavy(models, op):
+            total += op_us
+    return total
+
+
+def kernel_us(
+    models: ComputeTimeModels, graph: OpGraph, gpu_key: str,
+    heavy_only: bool = False,
+) -> float:
+    """The path under test, as ``predict_training`` takes it: the one-GPU
+    slice of the stacked kernel over a freshly compiled graph."""
+    compiled = compile_graph(graph, models)
+    return float(
+        StackedOpModels(models).totals_us(compiled, (gpu_key,), heavy_only)[0]
+    )
+
+
+def oracle_prediction(
+    estimator: CeerEstimator,
+    graph: OpGraph,
+    gpu_key: str,
+    num_gpus: int,
+    job: TrainingJob,
+    pricing: PricingScheme = ON_DEMAND,
+    compute_us: Optional[float] = None,
+) -> TrainingPrediction:
+    """Eq. (2) plus cost for one candidate, from the scalar walk.
+
+    ``compute_us`` passes in an already-walked Σ term for ``gpu_key``.
+    """
+    models = estimator.compute_models
+    gpu_key = gpu_spec(gpu_key).key
+    instance = pricing.instance(gpu_key, num_gpus)
+    if compute_us is None:
+        compute_us = oracle_graph_us(
+            models, graph, gpu_key, heavy_only=estimator.heavy_only
+        )
+    comm_us = (
+        estimator.comm_model.predict_us(gpu_key, num_gpus, graph.num_parameters)
+        if estimator.include_communication
+        else 0.0
+    )
+    heavy_counts = Counter(op.op_type for op in graph if _is_heavy(models, op))
+    return TrainingPrediction(
+        model=graph.name,
+        gpu_key=instance.gpu_key,
+        num_gpus=num_gpus,
+        instance_name=instance.name,
+        usd_per_hr=instance.usd_per_hr,
+        compute_us_per_iteration=compute_us,
+        comm_overhead_us=comm_us,
+        iterations=job.iterations(num_gpus),
+        batch_size=job.batch_size,
+        compute_std_us=models.compiled_std_us(heavy_counts),
+    )
+
+
+def oracle_sweep(
+    estimator: CeerEstimator,
+    model: Union[str, OpGraph],
+    job: TrainingJob,
+    plan: SweepPlan,
+) -> List[TrainingPrediction]:
+    """Every priceable candidate of a :class:`~repro.core.batch.SweepPlan`,
+    one at a time, in :meth:`SweepResult.iter_candidates` order
+    (pricing-major, then GPU, count, batch). Candidates the pricing scheme
+    cannot serve are skipped. The Σ term depends only on (GPU, batch), so
+    each is walked once."""
+    graphs: Dict[int, OpGraph] = {}
+    compute: Dict[Tuple[str, int], float] = {}
+    predictions: List[TrainingPrediction] = []
+    for pricing in plan.pricings:
+        for gpu_key in plan.gpu_keys:
+            for num_gpus in plan.gpu_counts:
+                try:
+                    pricing.instance(gpu_key, num_gpus)
+                except CatalogError:
+                    continue
+                for batch_size in plan.batch_sizes:
+                    if batch_size not in graphs:
+                        graphs[batch_size] = (
+                            model if isinstance(model, OpGraph)
+                            else build_model(model, batch_size=batch_size)
+                        )
+                    graph = graphs[batch_size]
+                    if (gpu_key, batch_size) not in compute:
+                        compute[(gpu_key, batch_size)] = oracle_graph_us(
+                            estimator.compute_models, graph, gpu_key,
+                            heavy_only=estimator.heavy_only,
+                        )
+                    cell_job = TrainingJob(
+                        job.dataset, batch_size=batch_size, epochs=job.epochs
+                    )
+                    predictions.append(oracle_prediction(
+                        estimator, graph, gpu_key, num_gpus, cell_job,
+                        pricing=pricing,
+                        compute_us=compute[(gpu_key, batch_size)],
+                    ))
+    return predictions

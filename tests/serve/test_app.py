@@ -2,6 +2,8 @@
 
 import asyncio
 
+import pytest
+
 from tests.serve.conftest import asgi_request, counter_total, request
 
 
@@ -97,6 +99,21 @@ class TestErrorMapping:
                               {"model": "alexnet"})
         assert status == 400
         assert "gpu" in doc["error"]
+
+    @pytest.mark.parametrize("field, body", [
+        ("risk_aversion", {"scenario": "spot", "risk_aversion": float("nan")}),
+        ("budget", {"objective": "total-budget", "budget": float("nan")}),
+        ("budget", {"objective": "total-budget", "budget": float("inf")}),
+        ("slack", {"objective": "hourly-budget", "budget": 3.0,
+                   "slack": float("-inf")}),
+    ])
+    def test_non_finite_number_is_400_naming_field(self, serve_app, field, body):
+        """Regression: json.loads accepts NaN/Infinity, which used to reach
+        the recommender (a misleading 422, or a 200 for Infinity)."""
+        status, doc = request(serve_app, "POST", "/recommend",
+                              {"model": "alexnet", **body})
+        assert status == 400
+        assert repr(field) in doc["error"] and "finite" in doc["error"]
 
     def test_unknown_model_is_422(self, serve_app):
         status, doc = request(serve_app, "POST", "/predict",

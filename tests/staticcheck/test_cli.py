@@ -105,7 +105,7 @@ def test_missing_path_is_usage_error(check, capsys):
 def test_list_rules_catalogue(check, capsys):
     code, out, _ = run(check, capsys, "--list-rules")
     assert code == 0
-    for rule in ("unit-suffix", "unit-mix", "unit-literal", "engine-routing",
+    for rule in ("unit-suffix", "unit-mix", "unit-literal", "artifact-routing",
                  "determinism", "registry-contract", "zoo-contract"):
         assert rule in out, rule
 

@@ -42,7 +42,7 @@ def test_span_inside_warm_function_is_flagged():
     findings = obs(
         "# obs: warm\n"
         "def evaluate_row(x):\n"
-        "    with span('engine.evaluate'):\n"
+        "    with span('engine.compile'):\n"
         "        return x + 1\n"
     )
     assert [f.rule for f in findings] == ["obs-warm"]
@@ -52,7 +52,7 @@ def test_span_inside_warm_function_is_flagged():
 def test_traced_decorator_on_warm_function_is_flagged():
     findings = obs(
         "# obs: warm\n"
-        "@traced('engine.evaluate')\n"
+        "@traced('engine.compile')\n"
         "def evaluate_row(x):\n"
         "    return x + 1\n"
     )

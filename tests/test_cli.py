@@ -730,6 +730,23 @@ class TestSpotScenario:
         assert code == 2
         assert "requires --scenario spot" in err
 
+    @pytest.mark.parametrize("flag, extra", [
+        ("--risk-aversion", ["--scenario", "spot", "--risk-aversion", "nan"]),
+        ("--budget", ["--objective", "total-budget", "--budget", "nan"]),
+        ("--budget", ["--objective", "total-budget", "--budget", "inf"]),
+        ("--slack", ["--objective", "hourly-budget", "--budget", "3",
+                     "--slack", "inf"]),
+    ])
+    def test_non_finite_number_exits_2_naming_flag(self, flag, extra, capsys):
+        """Regression: a NaN risk aversion or budget used to fail later
+        with a misleading "no candidate" error."""
+        with pytest.raises(SystemExit) as exc:
+            _run(["recommend", "--estimator", "unused.json", "--model",
+                  "alexnet"] + extra)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a finite number" in err
+
     def test_negative_risk_aversion_rejected(self, estimator_path, capsys):
         code, _ = _run(
             ["recommend", "--estimator", estimator_path, "--model",

@@ -1,17 +1,19 @@
 #!/usr/bin/env python
-"""Microbenchmark for the batched full-catalog sweep engine.
+"""Microbenchmark for Eq. (2) evaluation: batched sweeps and single predictions.
 
-Times the per-candidate reference loop (one ``predict_training`` call per
-(pricing, GPU model, count, batch) cell) against the batched tensor path
+Times a per-candidate loop (one ``predict_training`` call per (pricing,
+GPU model, count, batch) cell) against the batched tensor path
 (:func:`repro.core.batch.evaluate_sweep`) on the full AWS catalog plan —
 1000+ candidates — and emits a JSON report so the perf trajectory is
 tracked in version control:
 
-* reference loop latency, warm (engine caches hot, so the comparison
-  isolates the per-candidate Python overhead the batched path removes);
+* per-candidate loop latency, warm (graph, compile and totals caches
+  hot, so the comparison isolates the per-candidate Python overhead the
+  batched path removes);
 * batched sweep latency, cold (stacking + compiling every batch graph)
   and warm (stacked coefficients, totals, comm grid, and price grid all
   cached);
+* one warm ``predict_training`` call, in microseconds;
 * zoo-wide batched/loop numerical equivalence (max relative difference
   over every unmasked candidate's total_us and cost_usd).
 
@@ -38,14 +40,18 @@ from repro.core.batch import (
     DEFAULT_SWEEP_PRICINGS,
     SweepPlan,
     evaluate_sweep,
-    sweep_candidates_reference,
 )
 from repro.core.estimator import CeerEstimator
 from repro.core.fit import fit_ceer
+from repro.errors import CatalogError
 from repro.models.zoo import model_names
 from repro.obs.export import write_trace
 from repro.obs.spans import disable_tracing, enable_tracing
+from repro.units import s_to_us
 from repro.workloads.dataset import IMAGENET, TrainingJob
+
+#: Warm single predictions timed per repeat (the mean is reported).
+SINGLE_PREDICT_CALLS = 1000
 
 
 def best_of(fn, repeats: int) -> float:
@@ -64,21 +70,48 @@ def _fresh_estimator(fitted) -> CeerEstimator:
     )
 
 
+def predict_each(estimator, model: str, job: TrainingJob, plan: SweepPlan) -> list:
+    """One ``predict_training`` per priceable candidate, in
+    :meth:`SweepResult.iter_candidates` order; unpriceable (GPU, count)
+    pairs are skipped exactly as the batched path masks them."""
+    predictions = []
+    for pricing in plan.pricings:
+        for gpu_key in plan.gpu_keys:
+            for num_gpus in plan.gpu_counts:
+                try:
+                    instance = pricing.instance(gpu_key, num_gpus)
+                except CatalogError:
+                    continue
+                for batch_size in plan.batch_sizes:
+                    cell_job = TrainingJob(
+                        job.dataset, batch_size=batch_size, epochs=job.epochs
+                    )
+                    predictions.append(estimator.predict_training(
+                        model, gpu_key, num_gpus, cell_job,
+                        pricing=pricing, instance=instance,
+                    ))
+    return predictions
+
+
 def bench_catalog_sweep(
     fitted, model: str, job: TrainingJob, plan: SweepPlan, repeats: int
 ) -> dict:
-    """Time the reference loop vs the batched path on one shared plan.
+    """Time the per-candidate loop vs the batched path on one shared plan.
 
     Both paths are primed before timing so the engine's graph caches are
     hot for each: the measured gap is the per-candidate Python dispatch
     the batched path eliminates, not one-off graph compilation.
     """
     estimator = _fresh_estimator(fitted)
-    # Prime the engine's compiled graphs (shared by both paths).
-    sweep_candidates_reference(estimator, model, job, plan)
-    loop_s = best_of(
-        lambda: sweep_candidates_reference(estimator, model, job, plan), repeats
-    )
+    # Prime the compiled graphs and one-GPU totals (shared by both paths).
+    predict_each(estimator, model, job, plan)
+    loop_s = best_of(lambda: predict_each(estimator, model, job, plan), repeats)
+
+    def single_predicts():
+        for _ in range(SINGLE_PREDICT_CALLS):
+            estimator.predict_training(model, "V100", 1, job)
+
+    single_s = best_of(single_predicts, repeats) / SINGLE_PREDICT_CALLS
 
     def cold():
         # A fresh estimator per run: stacked coefficients, totals, comm
@@ -102,6 +135,7 @@ def bench_catalog_sweep(
         "loop_warm_ms": loop_s * 1e3,
         "batched_cold_ms": cold_s * 1e3,
         "batched_warm_ms": warm_s * 1e3,
+        "single_predict_warm_us": s_to_us(single_s),
         "speedup_cold": loop_s / cold_s,
         "speedup_warm": loop_s / warm_s,
     }
@@ -114,7 +148,7 @@ def check_equivalence(fitted, job: TrainingJob, plan: SweepPlan) -> dict:
     n_checked = 0
     for name in model_names():
         result = evaluate_sweep(estimator, name, job, plan)
-        reference = sweep_candidates_reference(estimator, name, job, plan)
+        reference = predict_each(estimator, name, job, plan)
         cells = list(result.iter_candidates())
         if len(cells) != len(reference):
             raise SystemExit(
@@ -189,6 +223,7 @@ def render(report: dict) -> str:
             f"{len(report['config']['batch_sizes'])} batch sizes x "
             f"{len(report['config']['pricings'])} pricing tiers)",
             f"  per-candidate loop (warm): {w['loop_warm_ms']:9.2f} ms",
+            f"  single predict (warm):     {w['single_predict_warm_us']:9.2f} us",
             f"  batched sweep:  cold {w['batched_cold_ms']:9.3f} ms "
             f"({w['speedup_cold']:.1f}x) | warm {w['batched_warm_ms']:7.3f} ms "
             f"({w['speedup_warm']:.0f}x)",

@@ -1,42 +1,33 @@
 #!/usr/bin/env python
-"""CI perf-regression gate: fresh bench report vs the committed baseline.
+"""CI perf-regression gate: fresh bench reports vs the committed baselines.
 
-Compares a freshly generated ``tools/bench_engine.py --json`` report
-against the committed ``BENCH_predict_engine.json`` and fails (exit 1) on
-regression. Absolute latencies are machine-dependent — a CI runner is not
-the machine the baseline was recorded on — so the gate checks the
-*machine-independent* quantities:
+Each ``--<bench>-fresh`` report is compared with its committed
+``BENCH_*.json`` baseline and the gate fails (exit 1) on regression.
+Absolute latencies are machine-dependent — a CI runner is not the
+machine a baseline was recorded on — so every gate checks
+*machine-independent* quantities: exact correctness flags, coverage
+counts, and same-process speedup ratios (host speed cancels out), each
+with an absolute floor and/or a drift tripwire against the baseline.
+Absolute latencies are printed for information only.
 
-* ``sweep.speedup_cold`` / ``sweep.speedup_warm`` and
-  ``single_graph.speedup_warm`` — scalar-vs-engine ratios measured on the
-  same machine in the same process, so host speed cancels out. A slowdown
-  injected into the engine (but not the scalar reference) tanks these.
-* ``equivalence.max_rel_diff`` — must stay within 1e-6 (correctness, not
-  timing; no tolerance applies).
-
-Ratios regressing more than ``--tolerance`` (default 15%) below baseline
-fail the gate; improvements beyond the same margin pass with a reminder
-to refresh the committed baseline. Absolute latency deltas are printed
-for information only.
-
-The gate optionally also checks the parallel fan-out benchmark
-(``tools/bench_fanout.py`` / ``BENCH_fanout.json``) when ``--fanout-fresh``
-is given. Fan-out speedup depends on the host's core count, so that check
-is core-aware: the byte-identity flag must always hold, the speedup floor
+The parallel fan-out benchmark (``tools/bench_fanout.py`` /
+``BENCH_fanout.json``) is checked when ``--fanout-fresh`` is given.
+Fan-out speedup depends on the host's core count, so that check is
+core-aware: the byte-identity flag must always hold, the speedup floor
 (default 2x) is enforced only when the fresh report's machine has >= 4
 cores, and fresh-vs-baseline ratio comparison happens only when the two
 reports were measured on the same core count.
 
-And it checks the batched catalog-sweep benchmark
-(``tools/bench_sweep_catalog.py`` / ``BENCH_sweep_catalog.json``) when
-``--catalog-fresh`` is given. Those checks are machine-independent too:
-the warm batched/loop speedup ratio (same process, host speed cancels)
-must stay above an absolute floor (default 10x) *and* within tolerance of
-the committed baseline; the sweep must cover at least 1000 candidates;
-and the batched/loop equivalence must hold to 1e-9 (correctness, no
-tolerance).
+The Eq. (2) benchmark (``tools/bench_sweep_catalog.py`` /
+``BENCH_sweep_catalog.json``) is checked when ``--catalog-fresh`` is
+given: the warm batched/loop speedup ratio must stay above an absolute
+floor (default 10x) *and* within tolerance of the committed baseline; the
+cold sweep's ratio to the same loop gets a drift tripwire against the
+baseline; the sweep must cover at least 1000 candidates; and the
+batched/loop equivalence must hold to 1e-9 (correctness, no tolerance).
+Single-predict latency is informational.
 
-Finally, the cross-hardware transfer benchmark
+The cross-hardware transfer benchmark
 (``tools/bench_transfer.py`` / ``BENCH_transfer.json``) is checked when
 ``--transfer-fresh`` is given: the LOGO report must cover every paper
 GPU with finite MAPEs, the worst fold's transfer MAPE must stay under an
@@ -65,12 +56,10 @@ latencies are informational.
 
 Usage (the CI ``perf`` job)::
 
-    PYTHONPATH=src python tools/bench_engine.py --json fresh.json
     PYTHONPATH=src python tools/bench_fanout.py --json fanout-fresh.json
     PYTHONPATH=src python tools/bench_sweep_catalog.py --json catalog-fresh.json
     PYTHONPATH=src python tools/bench_transfer.py --json transfer-fresh.json
-    python tools/perf_gate.py --baseline BENCH_predict_engine.json \
-        --fresh fresh.json --fanout-baseline BENCH_fanout.json \
+    python tools/perf_gate.py --fanout-baseline BENCH_fanout.json \
         --fanout-fresh fanout-fresh.json \
         --catalog-baseline BENCH_sweep_catalog.json \
         --catalog-fresh catalog-fresh.json \
@@ -86,22 +75,6 @@ import sys
 from pathlib import Path
 from typing import List, Tuple
 
-#: (path into the report, human label) for each gated speedup ratio.
-GATED_RATIOS: Tuple[Tuple[Tuple[str, str], str], ...] = (
-    (("sweep", "speedup_cold"), "16-candidate sweep, cold"),
-    (("sweep", "speedup_warm"), "16-candidate sweep, warm"),
-    (("single_graph", "speedup_warm"), "single-graph eval, warm"),
-)
-
-#: Informational absolute latencies (not gated; machine-dependent).
-INFO_LATENCIES: Tuple[Tuple[Tuple[str, str], str], ...] = (
-    (("sweep", "engine_cold_ms"), "sweep cold ms"),
-    (("sweep", "engine_warm_ms"), "sweep warm ms"),
-    (("single_graph", "engine_warm_us"), "single-graph warm us"),
-)
-
-EQUIVALENCE_BOUND = 1e-6
-
 
 def _lookup(report: dict, path: Tuple[str, str]) -> float:
     section, field = path
@@ -111,53 +84,6 @@ def _lookup(report: dict, path: Tuple[str, str]) -> float:
         raise SystemExit(f"malformed bench report: missing {section}.{field}"
                          f" ({exc})")
     return float(value)
-
-
-def compare(baseline: dict, fresh: dict, tolerance: float) -> Tuple[List[str], List[str]]:
-    """Returns (report lines, failure lines)."""
-    lines: List[str] = []
-    failures: List[str] = []
-    for path, label in GATED_RATIOS:
-        base = _lookup(baseline, path)
-        new = _lookup(fresh, path)
-        change = (new - base) / base if base else float("inf")
-        verdict = "ok"
-        if change < -tolerance:
-            verdict = "REGRESSION"
-            failures.append(
-                f"{label}: speedup {new:.1f}x is {-change:.0%} below the "
-                f"committed {base:.1f}x (tolerance {tolerance:.0%})"
-            )
-        elif change > tolerance:
-            verdict = "improved — consider refreshing the baseline"
-        lines.append(
-            f"  {label:<28s} baseline {base:10.1f}x   fresh {new:10.1f}x   "
-            f"{change:+7.1%}  [{verdict}]"
-        )
-
-    base_eq = _lookup(baseline, ("equivalence", "max_rel_diff"))
-    new_eq = _lookup(fresh, ("equivalence", "max_rel_diff"))
-    eq_ok = new_eq <= EQUIVALENCE_BOUND
-    lines.append(
-        f"  {'scalar/engine equivalence':<28s} baseline {base_eq:10.2e}    "
-        f"fresh {new_eq:10.2e}   [{'ok' if eq_ok else 'FAIL'}]"
-    )
-    if not eq_ok:
-        failures.append(
-            f"equivalence: max_rel_diff {new_eq:.2e} exceeds "
-            f"{EQUIVALENCE_BOUND:.0e} — engine and scalar paths disagree"
-        )
-
-    lines.append("  -- absolute latencies (informational; machine-dependent) --")
-    for path, label in INFO_LATENCIES:
-        base = _lookup(baseline, path)
-        new = _lookup(fresh, path)
-        change = (new - base) / base if base else float("inf")
-        lines.append(
-            f"  {label:<28s} baseline {base:10.3f}    fresh {new:10.3f}    "
-            f"{change:+7.1%}"
-        )
-    return lines, failures
 
 
 #: Core count below which the fan-out speedup floor is not enforced —
@@ -250,14 +176,13 @@ def compare_catalog(
     """Checks for the batched catalog-sweep benchmark reports.
 
     Everything gated here is machine-independent: candidate counts and
-    equivalence are deterministic, and the warm speedup is a same-process
-    batched-vs-loop ratio. The ratio is still noisier than the engine
-    benchmark's — the batched side finishes in ~0.3 ms, so scheduler
-    jitter on the ~20 ms loop numerator moves the ratio by tens of
-    percent run-to-run — which is why its ``tolerance`` (the
-    ``--catalog-tolerance`` flag) is wider than the engine gate's. The
-    hard ``min_speedup`` floor and the equivalence bound carry the
-    actual contract; the baseline ratio is a drift tripwire.
+    equivalence are deterministic, and the warm and cold speedups are
+    same-process batched-vs-loop ratios. The warm ratio is noisy — the
+    batched side finishes in ~0.3 ms, so scheduler jitter moves it by
+    tens of percent run-to-run — which is why ``tolerance`` (the
+    ``--catalog-tolerance`` flag) is wide. The hard ``min_speedup`` floor
+    and the equivalence bound carry the actual contract; the baseline
+    ratios are drift tripwires.
     """
     lines: List[str] = []
     failures: List[str] = []
@@ -286,21 +211,28 @@ def compare_catalog(
             f"{min_speedup:.1f}x floor"
         )
 
-    base_speedup = _lookup(baseline, ("sweep", "speedup_warm"))
-    change = (speedup - base_speedup) / base_speedup if base_speedup else float("inf")
-    verdict = "ok"
-    if change < -tolerance:
-        verdict = "REGRESSION"
-        failures.append(
-            f"catalog: warm speedup {speedup:.1f}x is {-change:.0%} below "
-            f"the committed {base_speedup:.1f}x (tolerance {tolerance:.0%})"
+    # Drift tripwires: the warm sweep, and the cold sweep (stacking plus
+    # compiling every batch graph), each as a ratio to the same loop.
+    for field, label in (
+        ("speedup_warm", "catalog warm vs baseline"),
+        ("speedup_cold", "catalog cold vs baseline"),
+    ):
+        base = _lookup(baseline, ("sweep", field))
+        new = _lookup(fresh, ("sweep", field))
+        change = (new - base) / base if base else float("inf")
+        verdict = "ok"
+        if change < -tolerance:
+            verdict = "REGRESSION"
+            failures.append(
+                f"catalog: {field} {new:.2f}x is {-change:.0%} below "
+                f"the committed {base:.2f}x (tolerance {tolerance:.0%})"
+            )
+        elif change > tolerance:
+            verdict = "improved — consider refreshing the baseline"
+        lines.append(
+            f"  {label:<28s} baseline {base:10.2f}x   "
+            f"fresh {new:10.2f}x   {change:+7.1%}  [{verdict}]"
         )
-    elif change > tolerance:
-        verdict = "improved — consider refreshing the baseline"
-    lines.append(
-        f"  {'catalog vs baseline':<28s} baseline {base_speedup:10.1f}x   "
-        f"fresh {speedup:10.1f}x   {change:+7.1%}  [{verdict}]"
-    )
 
     eq = _lookup(fresh, ("equivalence", "max_rel_diff"))
     eq_ok = eq <= CATALOG_EQUIVALENCE_BOUND
@@ -320,7 +252,9 @@ def compare_catalog(
     )
     for path, label in (
         (("sweep", "loop_warm_ms"), "loop warm ms"),
+        (("sweep", "batched_cold_ms"), "batched cold ms"),
         (("sweep", "batched_warm_ms"), "batched warm ms"),
+        (("sweep", "single_predict_warm_us"), "single predict warm us"),
     ):
         base = _lookup(baseline, path)
         new = _lookup(fresh, path)
@@ -625,14 +559,9 @@ def compare_serve(
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", type=Path,
-                        default=Path("BENCH_predict_engine.json"),
-                        help="committed baseline report")
-    parser.add_argument("--fresh", type=Path, required=True,
-                        help="freshly generated report to gate")
     parser.add_argument("--tolerance", type=float, default=0.15,
-                        help="allowed fractional drop in speedup ratios "
-                             "(default 0.15 = 15%%)")
+                        help="allowed fractional drop in the fan-out "
+                             "speedup (default 0.15 = 15%%)")
     parser.add_argument("--fanout-baseline", type=Path,
                         default=Path("BENCH_fanout.json"),
                         help="committed fan-out benchmark report")
@@ -650,7 +579,7 @@ def main(argv=None) -> int:
                              "enables the batched-sweep checks")
     parser.add_argument("--catalog-tolerance", type=float, default=0.5,
                         help="allowed fractional drop in the catalog warm "
-                             "speedup vs its baseline (wider than "
+                             "and cold speedups vs their baseline (wider than "
                              "--tolerance: the ~0.3 ms batched side makes "
                              "the ratio noisy)")
     parser.add_argument("--catalog-min", type=float, default=10.0,
@@ -695,12 +624,7 @@ def main(argv=None) -> int:
     if not 0 < args.tolerance < 1:
         parser.error("--tolerance must be in (0, 1)")
 
-    baseline = json.loads(args.baseline.read_text())
-    fresh = json.loads(args.fresh.read_text())
-    lines, failures = compare(baseline, fresh, args.tolerance)
-    print(f"perf gate: {args.fresh} vs {args.baseline} "
-          f"(tolerance {args.tolerance:.0%})")
-    print("\n".join(lines))
+    failures: List[str] = []
     if args.fanout_fresh is not None:
         fanout_baseline = json.loads(args.fanout_baseline.read_text())
         fanout_fresh = json.loads(args.fanout_fresh.read_text())
