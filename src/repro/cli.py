@@ -38,10 +38,9 @@ Example session::
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from repro.analysis.reporting import format_table
 from repro.artifacts import kinds
@@ -50,23 +49,25 @@ from repro.artifacts.workspace import (
     active_workspace,
     set_active_workspace,
 )
-from repro.cloud.pricing import MARKET_RATIO, ON_DEMAND, SPOT
-from repro.core.estimator import CeerEstimator
+from repro.cloud.pricing import SPOT
 from repro.core.persistence import load_estimator, save_estimator
-from repro.core.recommend import (
-    HourlyBudget,
-    MinimizeCost,
-    MinimizeTime,
-    Recommender,
-    TotalBudget,
-)
-from repro.errors import ReproError
+from repro.core.recommend import Recommender, SpotRiskObjective
+from repro.errors import ReproError, RequestError
 from repro.graph.serialization import load_graph
 from repro.models.zoo import build_model, model_names
 from repro.obs.export import write_metrics, write_trace
 from repro.obs.metrics import default_registry
 from repro.obs.spans import disable_tracing, enable_tracing, span
-from repro.workloads.dataset import DatasetSpec, TrainingJob
+from repro.requests import (
+    DEFAULT_BATCH,
+    DEFAULT_SAMPLES,
+    OBJECTIVES,
+    SCENARIOS,
+    SPOT_ONLY,
+    ParetoRequest,
+    PredictRequest,
+    RecommendRequest,
+)
 from repro.units import us_to_ms
 
 #: Environment variables mirroring ``--trace-out`` / ``--metrics-out``.
@@ -88,17 +89,6 @@ def _add_obs_args(p, suppress: bool) -> None:
     p.add_argument("--metrics-out", default=default, metavar="PATH",
                    help="write counters/gauges/histograms JSON for this "
                         "run; also $REPRO_METRICS")
-
-
-def _finite_float(text: str) -> float:
-    """argparse type: a float that is not NaN or infinite (exit 2 otherwise)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -147,9 +137,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "$REPRO_WORKSPACE or ~/.cache/repro/workspace)")
         p.add_argument("--model", help="zoo model name")
         p.add_argument("--graph", help="path to a serialized op-graph JSON")
-        p.add_argument("--samples", type=int, default=1_200_000,
+        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                        help="training samples per epoch (default: ImageNet)")
-        p.add_argument("--batch", type=int, default=32, help="batch per GPU")
+        p.add_argument("--batch", type=int, default=DEFAULT_BATCH,
+                       help="batch per GPU")
         p.add_argument("--epochs", type=int, default=1)
         p.add_argument("--market-prices", action="store_true",
                        help="use commodity market-ratio prices (paper "
@@ -170,18 +161,16 @@ def _build_parser() -> argparse.ArgumentParser:
     rec = sub.add_parser("recommend", help="recommend the optimal instance")
     rec.add_argument("--estimator", required=True)
     add_workload_args(rec)
-    rec.add_argument("--objective", default=None,
-                     choices=("min-cost", "min-time", "hourly-budget",
-                              "total-budget"),
+    rec.add_argument("--objective", default=None, choices=OBJECTIVES,
                      help="static-scenario objective (default: min-cost); "
                           "conflicts with --scenario spot, which always "
                           "ranks by the spot-risk objective")
-    rec.add_argument("--budget", type=_finite_float,
+    rec.add_argument("--budget", type=float,
                      help="$/hr for hourly-budget, $ total for total-budget")
-    rec.add_argument("--slack", type=_finite_float, default=0.0,
-                     help="hourly-budget slack in dollars (paper uses 0.42)")
-    rec.add_argument("--scenario", default="static",
-                     choices=("static", "spot"),
+    rec.add_argument("--slack", type=float, default=None,
+                     help="hourly-budget slack in $/hr (paper uses 0.42; "
+                          "default: 0)")
+    rec.add_argument("--scenario", default="static", choices=SCENARIOS,
                      help="'static' ranks fixed price tiers; 'spot' streams "
                           "a seeded synthetic spot-price trace and ranks by "
                           "preemption-aware expected cost (default: static)")
@@ -192,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="advance the spot market this many price ticks "
                           "and rank at the last one (requires --scenario "
                           "spot; default: 1)")
-    rec.add_argument("--risk-aversion", type=_finite_float, default=None,
+    rec.add_argument("--risk-aversion", type=float, default=None,
                      metavar="LAMBDA",
                      help="spot-risk trade-off in $ per expected hour: "
                           "score = expected cost + LAMBDA * expected "
@@ -347,42 +336,72 @@ def _load_admitted(args) -> Sequence[str]:
     return _resolve_workspace(args).load_admitted_gpus()
 
 
-def _resolve_model(args):
-    if args.graph:
-        return load_graph(args.graph)
-    if args.model:
-        build_model(args.model, batch_size=args.batch)  # validate eagerly
-        return args.model
-    raise ReproError("provide either --model <zoo name> or --graph <path>")
+Request = Union[PredictRequest, RecommendRequest, ParetoRequest]
 
 
-def _resolve_job(args) -> TrainingJob:
-    dataset = DatasetSpec("cli-dataset", num_samples=args.samples)
-    return TrainingJob(dataset, batch_size=args.batch, epochs=args.epochs)
+def build_request(args) -> Request:
+    """The request a ``predict``/``recommend``/``tradeoff`` invocation asks.
+
+    The request type owns every rule of the question (see
+    :mod:`repro.requests`); only the rules about CLI-only flags are
+    checked here. Raises :class:`~repro.errors.RequestError` (exit 2).
+    """
+    if args.graph is None and args.model is None:
+        raise ReproError("provide either --model <zoo name> or --graph <path>")
+    if args.spot and args.market_prices:
+        raise RequestError(("spot", "market_prices"), "exclude each other")
+    common = {
+        "model": args.graph if args.graph is not None else args.model,
+        "samples": args.samples,
+        "epochs": args.epochs,
+    }
+    if args.spot or args.market_prices:
+        common["pricing"] = "spot" if args.spot else "market"
+    if args.command == "predict":
+        return PredictRequest(gpu=args.gpu, gpus=args.gpus, batch=args.batch,
+                              **common)
+    if args.command == "tradeoff":
+        if args.batches is None:
+            return ParetoRequest(batches=(args.batch,), **common)
+        if not args.full_catalog:
+            raise RequestError(("batches",), "requires --full-catalog")
+        return ParetoRequest(
+            batches=_parse_batches(args.batches, "--batches"), **common
+        )
+    if args.scenario != "spot":
+        for field in ("seed", "ticks"):
+            if getattr(args, field) is not None:
+                raise RequestError((field,), SPOT_ONLY)
+    elif args.ticks is not None and args.ticks < 1:
+        raise RequestError(("ticks",), f"must be >= 1, got {args.ticks}")
+    return RecommendRequest(
+        batch=args.batch, objective=args.objective, budget=args.budget,
+        slack=args.slack, scenario=args.scenario,
+        risk_aversion=args.risk_aversion, **common,
+    )
 
 
-def _resolve_pricing(args):
-    if getattr(args, "market_prices", False) and getattr(args, "spot", False):
-        raise ReproError("--market-prices and --spot are mutually exclusive")
-    if getattr(args, "spot", False):
-        return SPOT
-    if getattr(args, "market_prices", False):
-        return MARKET_RATIO
-    return ON_DEMAND
+def _flag(args, field: str) -> str:
+    """The flag that set a request field, as error messages name it."""
+    if field == "pricing":
+        return "--spot" if args.spot else "--market-prices"
+    if field == "model" and getattr(args, "graph", None) is not None:
+        return "--graph"
+    if field == "batches" and getattr(args, "batches", None) is None:
+        return "--batch"
+    return "--" + field.replace("_", "-")
 
 
-def _resolve_objective(args):
-    if args.objective in (None, "min-cost"):
-        return MinimizeCost()
-    if args.objective == "min-time":
-        return MinimizeTime()
-    if args.objective == "hourly-budget":
-        if args.budget is None:
-            raise ReproError("--budget is required for hourly-budget")
-        return HourlyBudget(budget_usd_per_hr=args.budget, slack_usd_per_hr=args.slack)
-    if args.budget is None:
-        raise ReproError("--budget is required for total-budget")
-    return TotalBudget(budget_dollars=args.budget)
+def error_message(exc: ReproError, args) -> str:
+    """The exit-2 message: request fields written as the flags that set them."""
+    if isinstance(exc, RequestError):
+        return exc.render(lambda field: _flag(args, field))
+    return str(exc)
+
+
+def _resolve_model(args, req: Request):
+    """The model to evaluate: a loaded ``--graph`` or a zoo name."""
+    return load_graph(args.graph) if args.graph is not None else req.model
 
 
 def _cmd_models(args, out) -> int:
@@ -418,18 +437,13 @@ def _cmd_fit(args, out) -> int:
     return 0
 
 
-def _load(path: str) -> CeerEstimator:
-    return load_estimator(path)
-
-
 def _cmd_predict(args, out) -> int:
+    req = build_request(args)
     _load_admitted(args)
-    estimator = _load(args.estimator)
-    model = _resolve_model(args)
-    job = _resolve_job(args)
-    pricing = _resolve_pricing(args)
+    estimator = load_estimator(args.estimator)
     prediction = estimator.predict_training(
-        model, args.gpu, args.gpus, job, pricing=pricing
+        _resolve_model(args, req), req.gpu, req.gpus, req.job(),
+        pricing=req.pricing_scheme(),
     )
     print(
         f"{prediction.model} on {prediction.instance_name} "
@@ -454,61 +468,30 @@ def _cmd_predict(args, out) -> int:
 
 
 def _cmd_recommend(args, out) -> int:
+    req = build_request(args)
     _load_admitted(args)
-    if args.scenario == "spot":
-        conflicts = [
-            flag for flag, hit in (
-                ("--spot", args.spot),
-                ("--market-prices", args.market_prices),
-                ("--objective", args.objective is not None),
-                ("--budget", args.budget is not None),
-                ("--slack", args.slack != 0.0),
-            ) if hit
-        ]
-        if conflicts:
-            raise ReproError(
-                f"{', '.join(conflicts)} conflict(s) with --scenario spot "
-                f"— spot recommendations price against the live trace "
-                f"under the 'spot-risk' objective"
-            )
-        return _recommend_spot(args, out)
-    for flag, hit in (
-        ("--seed", args.seed is not None),
-        ("--ticks", args.ticks is not None),
-        ("--risk-aversion", args.risk_aversion is not None),
-    ):
-        if hit:
-            raise ReproError(f"{flag} requires --scenario spot")
-    estimator = _load(args.estimator)
-    model = _resolve_model(args)
-    job = _resolve_job(args)
-    pricing = _resolve_pricing(args)
-    recommendation = Recommender(estimator, pricing=pricing).recommend(
-        model, job, _resolve_objective(args)
+    estimator = load_estimator(args.estimator)
+    model = _resolve_model(args, req)
+    if req.scenario == "spot":
+        return _recommend_spot(args, req, estimator, model, out)
+    recommendation = Recommender(estimator, pricing=req.pricing_scheme()).recommend(
+        model, req.job(), req.objective_instance()
     )
     print(recommendation.summary(), file=out)
     return 0
 
 
-def _recommend_spot(args, out) -> int:
+def _recommend_spot(args, req: RecommendRequest, estimator, model, out) -> int:
     from repro.cloud.spotsim import SpotMarket
     from repro.core.preempt import DEFAULT_PREEMPTION
     from repro.core.rerank import SpotRerankSession
 
-    estimator = _load(args.estimator)
-    model = _resolve_model(args)
-    job = _resolve_job(args)
+    job = req.job()
     seed = 2020 if args.seed is None else args.seed
     ticks = 1 if args.ticks is None else args.ticks
-    if ticks < 1:
-        raise ReproError(f"--ticks must be >= 1, got {ticks}")
-    risk_aversion = (
-        0.0 if args.risk_aversion is None else args.risk_aversion
-    )
-    if risk_aversion < 0:
-        raise ReproError(
-            f"--risk-aversion must be >= 0, got {risk_aversion}"
-        )
+    objective = req.objective_instance()
+    assert isinstance(objective, SpotRiskObjective)
+    risk_aversion = objective.risk_aversion_usd_per_hr
     market = SpotMarket(seed=seed)
     session = SpotRerankSession.from_estimator(
         estimator, model, job, batch_sizes=(job.batch_size,)
@@ -564,35 +547,27 @@ def _recommend_spot(args, out) -> int:
     return 0
 
 
-def _parse_batches(spec: str):
+def _parse_batches(spec: str, flag: str):
     try:
-        batches = tuple(int(b) for b in spec.split(","))
+        return tuple(int(b) for b in spec.split(","))
     except ValueError:
-        raise ReproError(f"--batches must be comma-separated integers, got {spec!r}")
-    if not batches or any(b < 1 for b in batches):
-        raise ReproError("--batches values must be >= 1")
-    return batches
+        raise ReproError(f"{flag} must be comma-separated integers, got {spec!r}")
 
 
 def _cmd_tradeoff(args, out) -> int:
     from repro.core.pareto import analyze_tradeoff
 
+    req = build_request(args)
     _load_admitted(args)
-    estimator = _load(args.estimator)
-    model = _resolve_model(args)
-    job = _resolve_job(args)
-    pricing = _resolve_pricing(args)
-    if args.batches and not args.full_catalog:
-        raise ReproError("--batches requires --full-catalog")
+    estimator = load_estimator(args.estimator)
+    model = _resolve_model(args, req)
+    pricing = req.pricing_scheme()
     if args.full_catalog:
         from repro.analysis.reporting import format_dollars, format_us
         from repro.cloud.catalog import admitted_gpu_keys
         from repro.core.batch import SweepPlan, evaluate_sweep
         from repro.hardware.gpus import GPU_KEYS
 
-        batches = (
-            _parse_batches(args.batches) if args.batches else (args.batch,)
-        )
         # Admitted spec-only GPUs join the sweep when the estimator can
         # synthesize models for them (transfer backend); a per-GPU
         # estimator silently sweeps the built-in four as before.
@@ -601,10 +576,10 @@ def _cmd_tradeoff(args, out) -> int:
             if estimator.compute_models.supports_gpu(key)
         ]
         plan = SweepPlan.full_catalog(
-            batch_sizes=batches, pricings=(pricing,),
+            batch_sizes=req.batches, pricings=(pricing,),
             gpu_keys=tuple(GPU_KEYS) + tuple(extra) if extra else None,
         )
-        result = evaluate_sweep(estimator, model, job, plan)
+        result = evaluate_sweep(estimator, model, req.job(), plan)
         frontier = result.frontier()
         rows = [
             [
@@ -624,7 +599,7 @@ def _cmd_tradeoff(args, out) -> int:
         )
         return 0
     analysis = analyze_tradeoff(
-        Recommender(estimator, pricing=pricing), model, job
+        Recommender(estimator, pricing=pricing), model, req.job()
     )
     print(analysis.render(), file=out)
     knee = analysis.knee()
@@ -920,8 +895,11 @@ def _cmd_serve(args, out) -> int:
                 f"{', '.join(sorted(model_names()))}"
             )
     batches = (
-        _parse_batches(args.warm_batches) if args.warm_batches else (32,)
+        _parse_batches(args.warm_batches, "--warm-batches")
+        if args.warm_batches else (DEFAULT_BATCH,)
     )
+    if any(b < 1 for b in batches):
+        raise ReproError(f"--warm-batches values must be >= 1, got {batches}")
     if args.cache_size < 1:
         raise ReproError(f"--cache-size must be >= 1, got {args.cache_size}")
     state = ServeState(
@@ -1003,7 +981,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         with span(f"cli.{args.command}"):
             code = _COMMANDS[args.command](args, out)
     except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {error_message(exc, args)}", file=sys.stderr)
         code = 2
     finally:
         if tracer is not None:

@@ -69,6 +69,8 @@ class SpotMarketConfig:
     max_hazard_per_hr: float = 0.25
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise CatalogError(f"spot market seed must be >= 0, got {self.seed}")
         if not self.base_ratios:
             raise CatalogError("SpotMarketConfig needs at least one GPU")
         keys = [key for key, _ in self.base_ratios]

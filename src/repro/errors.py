@@ -6,6 +6,8 @@ catch a single base class. Subclasses are organised by subsystem.
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -87,6 +89,28 @@ class FanoutError(ReproError):
 
 class RecommendationError(ReproError):
     """No instance satisfies the requested objective/constraints."""
+
+
+class RequestError(ReproError):
+    """A request broke a rule of the request model (:mod:`repro.requests`).
+
+    ``fields`` names the offending field(s) and the message reads
+    ``"<fields> <detail>"``. ``str()`` writes each field as its JSON name
+    (``'risk_aversion'``), as the HTTP service's 400 answers show it;
+    :meth:`render` writes it any other way, as the CLI's exit-2 message
+    does with the flag that set it (``--risk-aversion``).
+    """
+
+    def __init__(self, fields: Sequence[str], detail: str) -> None:
+        self.fields = tuple(fields)
+        self.detail = detail
+        super().__init__(self.render(repr))
+
+    def render(self, name: Callable[[str], str]) -> str:
+        """The message with each field written by ``name``."""
+        if not self.fields:
+            return self.detail
+        return f"{', '.join(name(field) for field in self.fields)} {self.detail}"
 
 
 class ServeError(ReproError):

@@ -5,8 +5,8 @@ zero-dependency network service (paper, Section V: the point of the
 model is answering "which instance should I rent?" *without* re-running
 profiling — this layer answers it in milliseconds over HTTP):
 
-* :mod:`repro.serve.protocol` — request schemas, strict parsers, and
-  canonical request fingerprints.
+* :mod:`repro.serve.protocol` — JSON adapters onto the request types
+  of :mod:`repro.requests`, and the response encoders.
 * :mod:`repro.serve.snapshot` — immutable per-generation serving state
   and the atomic hot-swap holder.
 * :mod:`repro.serve.coalesce` — in-flight request coalescing plus the
@@ -27,7 +27,6 @@ from repro.serve.http import HttpServer, serve_forever
 from repro.serve.protocol import (
     ParetoRequest,
     PredictRequest,
-    ProtocolError,
     RecommendRequest,
 )
 from repro.serve.snapshot import ServingSnapshot, SnapshotHolder, load_snapshot
@@ -41,7 +40,6 @@ __all__ = [
     "PredictRequest",
     "RecommendRequest",
     "ParetoRequest",
-    "ProtocolError",
     "ServingSnapshot",
     "SnapshotHolder",
     "load_snapshot",

@@ -53,9 +53,9 @@ from urllib.parse import parse_qs
 from repro.cloud.spotsim import SpotMarket
 from repro.core.estimator import CeerEstimator
 from repro.core.preempt import DEFAULT_PREEMPTION
-from repro.core.recommend import Recommender
+from repro.core.recommend import Recommender, SpotRiskObjective
 from repro.core.rerank import SpotRerankSession
-from repro.errors import ReproError
+from repro.errors import ReproError, RequestError
 from repro.obs.export import metrics_to_json
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.spans import span
@@ -63,7 +63,6 @@ from repro.serve.coalesce import CoalescingCache
 from repro.serve.protocol import (
     ParetoRequest,
     PredictRequest,
-    ProtocolError,
     RecommendRequest,
     parse_pareto,
     parse_predict,
@@ -101,6 +100,12 @@ class ServeState:
         self.warm = warm
         self.models = tuple(models) if models is not None else None
         self.batch_sizes = tuple(batch_sizes)
+        #: The streaming spot market. Ticked and read only on the event
+        #: loop, so (generation, ratios, hazards) observations are
+        #: atomic; survives snapshot hot swaps — prices are market
+        #: state, not estimator state. Built first: a bad seed fails
+        #: before the estimator loads.
+        self.spot = SpotMarket(seed=spot_seed)
         with span("serve.load", source=estimator_path, generation=1):
             initial = load_snapshot(
                 estimator_path, generation=1, warm=warm,
@@ -114,11 +119,6 @@ class ServeState:
         )
         self.started_monotonic_s = time.monotonic()  # staticcheck: ignore[determinism] — serving uptime, not a model path
         self._reload_lock: Optional[asyncio.Lock] = None
-        #: The streaming spot market. Ticked and read only on the event
-        #: loop, so (generation, ratios, hazards) observations are
-        #: atomic; survives snapshot hot swaps — prices are market
-        #: state, not estimator state.
-        self.spot = SpotMarket(seed=spot_seed)
 
     @property
     def reload_lock(self) -> asyncio.Lock:
@@ -201,13 +201,12 @@ def _spot_recommend_thunk(
     generations' prices.
     """
     session = cast(
-        SpotRerankSession,
-        snapshot.spot_session_for(req.model, req.batch, req.samples,
-                                  req.epochs),
+        SpotRerankSession, snapshot.spot_session_for(req.model, req.job())
     )
+    objective = cast(SpotRiskObjective, req.objective_instance())
     ranking = session.rerank(
         ratios, hazards,
-        risk_aversion_usd_per_hr=req.risk_aversion,
+        risk_aversion_usd_per_hr=objective.risk_aversion_usd_per_hr,
         preempt=DEFAULT_PREEMPTION,
     )
     top = ranking.predictions(top=4)
@@ -216,7 +215,7 @@ def _spot_recommend_thunk(
         "scenario": "spot",
         "spot_generation": spot_generation,
         "objective": "spot-risk",
-        "risk_aversion": req.risk_aversion,
+        "risk_aversion": objective.risk_aversion_usd_per_hr,
         "ratios": dict(sorted(ratios.items())),
         "n_candidates": ranking.n_candidates,
         "best": prediction_to_json(ranking.best()),
@@ -307,12 +306,12 @@ class ServeApp:
         while True:
             message = await receive()
             if message.get("type") == "http.disconnect":
-                raise ProtocolError("client disconnected mid-request")
+                raise RequestError((), "client disconnected mid-request")
             chunk = message.get("body", b"")
             total += len(chunk)
             if total > MAX_BODY_BYTES:
-                raise ProtocolError(
-                    f"request body exceeds {MAX_BODY_BYTES} bytes"
+                raise RequestError(
+                    (), f"request body exceeds {MAX_BODY_BYTES} bytes"
                 )
             chunks.append(chunk)
             if not message.get("more_body", False):
@@ -325,7 +324,7 @@ class ServeApp:
         try:
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
-            raise ProtocolError(f"request body is not valid JSON: {exc}")
+            raise RequestError((), f"request body is not valid JSON: {exc}")
 
     async def _dispatch(
         self, method: str, path: str, query: bytes,
@@ -340,7 +339,7 @@ class ServeApp:
         try:
             with span("serve.request", endpoint=path, method=method):
                 return await handler(query=query, receive=receive)
-        except ProtocolError as exc:
+        except RequestError as exc:
             return 400, {"error": str(exc)}
         except ReproError as exc:
             # A well-formed request the estimator/catalog cannot satisfy
@@ -433,11 +432,10 @@ class ServeApp:
         """
         body = await self._json_body(receive)
         if not isinstance(body, dict):
-            raise ProtocolError("spot/tick: body must be a JSON object")
+            raise RequestError((), "spot/tick: body must be a JSON object")
         if body:
-            raise ProtocolError(
-                f"spot/tick: unexpected field(s) {sorted(body)}; the tick "
-                f"endpoint takes an empty body"
+            raise RequestError(
+                sorted(body), "not accepted: the tick endpoint takes an empty body"
             )
         market = self.state.spot
         generation = market.tick()
@@ -451,17 +449,15 @@ class ServeApp:
     async def _reload(self, query: bytes, receive: Any) -> Tuple[int, Dict[str, object]]:
         body = await self._json_body(receive)
         if not isinstance(body, dict):
-            raise ProtocolError("admin/reload: body must be a JSON object")
+            raise RequestError((), "admin/reload: body must be a JSON object")
         unknown = sorted(set(body) - {"path"})
         if unknown:
-            raise ProtocolError(
-                f"admin/reload: unknown field(s) {unknown}; allowed: ['path']"
+            raise RequestError(
+                unknown, "not accepted by /admin/reload; allowed: ['path']"
             )
         path = body.get("path")
         if path is not None and (not isinstance(path, str) or not path):
-            raise ProtocolError(
-                "admin/reload: 'path' must be a non-empty string"
-            )
+            raise RequestError(("path",), "must be a non-empty path string")
         snapshot = await self.state.reload(path)
         doc: Dict[str, object] = {"status": "reloaded"}
         doc.update(snapshot.to_json())

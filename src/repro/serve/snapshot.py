@@ -26,6 +26,7 @@ from repro.core.persistence import load_estimator
 from repro.core.view import ReadOnlyEstimator, WarmReport
 from repro.errors import ServeError
 from repro.obs.spans import span
+from repro.workloads.dataset import TrainingJob
 
 __all__ = ["ServingSnapshot", "SnapshotHolder", "load_snapshot"]
 
@@ -61,7 +62,7 @@ class ServingSnapshot:
         #: expensive base sweep runs once per workload, then every price
         #: tick re-ranks it in O(candidates). Only ever touched from the
         #: single evaluation lane, like ``_plans``.
-        self._spot_sessions: Dict[Tuple[str, int, int, int], object] = {}
+        self._spot_sessions: Dict[Tuple[str, TrainingJob], object] = {}
 
     def plan_for(self, batches: Tuple[int, ...], pricing_name: str,
                  pricing: object) -> object:
@@ -77,8 +78,7 @@ class ServingSnapshot:
             self._plans[key] = plan
         return plan
 
-    def spot_session_for(self, model: str, batch: int, samples: int,
-                         epochs: int) -> object:
+    def spot_session_for(self, model: str, job: TrainingJob) -> object:
         """A shared spot re-rank session for one workload shape.
 
         The base On-Demand sweep (graph compile + stacked matmuls +
@@ -86,18 +86,13 @@ class ServingSnapshot:
         the snapshot makes every subsequent tick a pure tensor re-scale.
         A hot swap naturally drops the memo with the snapshot.
         """
-        key = (model, batch, samples, epochs)
+        key = (model, job)
         session = self._spot_sessions.get(key)
         if session is None:
             from repro.core.rerank import SpotRerankSession
-            from repro.workloads.dataset import DatasetSpec, TrainingJob
 
-            job = TrainingJob(
-                DatasetSpec("serve-dataset", num_samples=samples),
-                batch_size=batch, epochs=epochs,
-            )
             session = SpotRerankSession.from_estimator(
-                self.estimator, model, job, batch_sizes=(batch,)
+                self.estimator, model, job, batch_sizes=(job.batch_size,)
             )
             self._spot_sessions[key] = session
         return session

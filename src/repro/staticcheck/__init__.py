@@ -5,7 +5,7 @@ conversion literals, artifact routing, determinism), a semantic
 graph-contract checker, and the :mod:`repro.staticcheck.astcheck`
 AST/dataflow engine (tensor-axis contracts, fork/pickle safety,
 fingerprint purity, observability contracts) — all driven by ``repro
-check`` / ``tools/check.py`` and enforced in CI. See DESIGN.md's "Static
+check`` and enforced in CI. See DESIGN.md's "Static
 analysis" and "AST analysis" sections for the rule catalogue, the
 annotation conventions, and the baseline workflow.
 """

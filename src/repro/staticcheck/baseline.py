@@ -8,8 +8,8 @@ to the rule immediately, old findings surface one file at a time.
 
 Workflow::
 
-    python tools/check.py src/repro --write-baseline   # freeze current debt
-    python tools/check.py src/repro                    # fails only on NEW findings
+    python -m repro check src/repro --write-baseline   # freeze current debt
+    python -m repro check src/repro                    # fails only on NEW findings
 
 Two on-disk versions exist. Version 1 is a flat ``fingerprints`` string
 list; version 2 records one entry per fingerprint with its rule and
@@ -35,7 +35,7 @@ BASELINE_VERSION = 2
 _COMMENT = (
     "Grandfathered repro.staticcheck findings. Entries are "
     "rule::path::symbol fingerprints; remove entries as debt is "
-    "paid down. Regenerate with: python tools/check.py --write-baseline"
+    "paid down. Regenerate with: python -m repro check --write-baseline"
 )
 
 

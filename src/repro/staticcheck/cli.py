@@ -1,9 +1,8 @@
 """The shared ``repro check`` driver.
 
-One implementation serves two front doors — the ``repro check``
-subcommand and the standalone ``tools/check.py`` wrapper (kept for CI
-and muscle memory) — so flags, exit codes, and the JSON schema cannot
-drift between them.
+One implementation serves the ``repro check`` subcommand and the
+standalone :func:`main`, so flags, exit codes, and the JSON schema
+cannot drift between them.
 
 Exit codes: 0 = clean (modulo baseline), 1 = findings, 2 = usage or
 internal error.
@@ -207,7 +206,8 @@ def run_check(
     return exit_code
 
 
-def main(argv: Optional[Sequence[str]] = None, prog: str = "check.py") -> int:
-    """Standalone entry point (what ``tools/check.py`` delegates to)."""
+def main(argv: Optional[Sequence[str]] = None, prog: str = "repro check") -> int:
+    """Standalone entry point: the ``repro check`` subcommand without the
+    rest of the CLI."""
     args = build_parser(prog=prog).parse_args(argv)
     return run_check(args, prog=prog)

@@ -2,7 +2,7 @@
 
 A :class:`Finding` is one diagnostic from one checker pass. Findings are
 value objects: hashable, ordered by location, and serialisable to the JSON
-shape ``tools/check.py --json`` documents.
+shape ``repro check --json`` documents.
 
 Two suppression mechanisms exist, in precedence order:
 

@@ -244,7 +244,7 @@ def check_fitted_models(models: "object") -> List[Finding]:
 
 
 def check_contracts(zoo_models: Optional[Iterable[str]] = None) -> List[Finding]:
-    """The registry + zoo contract sweep ``tools/check.py`` runs by default."""
+    """The registry + zoo contract sweep ``repro check`` runs by default."""
     findings = check_registry()
     names = list(zoo_models) if zoo_models is not None else None
     findings.extend(check_zoo(names))

@@ -1,7 +1,7 @@
 """Checker orchestration: walk a tree, run every pass, aggregate findings.
 
-The runner is what ``repro check``, ``tools/check.py``, and the test
-suite drive. It knows four things the individual passes do not:
+The runner is what ``repro check`` and the test suite drive. It knows
+four things the individual passes do not:
 
 * how to turn paths into (source, AST) pairs and repo-relative names;
 * which passes run per file vs once per run (the semantic contract sweep);

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.core.recommend import MinimizeCost
+from repro.errors import RequestError
 from repro.serve.protocol import (
     DEFAULT_SAMPLES,
-    ProtocolError,
     parse_pareto,
     parse_predict,
     parse_recommend,
@@ -23,24 +24,24 @@ class TestParsePredict:
         assert req.pricing == "on-demand"
 
     def test_non_object_body_rejected(self):
-        with pytest.raises(ProtocolError, match="JSON object"):
+        with pytest.raises(RequestError, match="JSON object"):
             parse_predict([1, 2, 3])
 
     def test_missing_required_field_rejected(self):
-        with pytest.raises(ProtocolError, match="model"):
+        with pytest.raises(RequestError, match="model"):
             parse_predict({"gpu": "V100"})
 
     def test_unknown_field_rejected_by_name(self):
-        with pytest.raises(ProtocolError, match="batchsize"):
+        with pytest.raises(RequestError, match="batchsize"):
             parse_predict({"model": "alexnet", "gpu": "V100", "batchsize": 64})
 
     def test_bool_is_not_an_int(self):
         # JSON has no bool/int pun, but Python does; the parser must not.
-        with pytest.raises(ProtocolError, match="batch"):
+        with pytest.raises(RequestError, match="batch"):
             parse_predict({"model": "alexnet", "gpu": "V100", "batch": True})
 
     def test_unknown_pricing_rejected(self):
-        with pytest.raises(ProtocolError, match="pricing"):
+        with pytest.raises(RequestError, match="pricing"):
             parse_predict({"model": "alexnet", "gpu": "V100",
                            "pricing": "free-tier"})
 
@@ -48,11 +49,13 @@ class TestParsePredict:
 class TestParseRecommend:
     def test_defaults_to_min_cost(self):
         req = parse_recommend({"model": "resnet_50"})
-        assert req.objective == "min-cost"
+        assert req.objective is None  # not given
+        assert req.objective_instance() == MinimizeCost()
+        assert req.spec()["objective"] == "min-cost"
         assert req.budget is None
 
     def test_budget_objectives_require_budget(self):
-        with pytest.raises(ProtocolError, match="budget"):
+        with pytest.raises(RequestError, match="budget"):
             parse_recommend({"model": "resnet_50",
                              "objective": "hourly-budget"})
         req = parse_recommend({"model": "resnet_50",
@@ -62,7 +65,7 @@ class TestParseRecommend:
         assert req.slack == 0.42
 
     def test_unknown_objective_rejected(self):
-        with pytest.raises(ProtocolError, match="objective"):
+        with pytest.raises(RequestError, match="objective"):
             parse_recommend({"model": "resnet_50", "objective": "fastest"})
 
 
@@ -74,7 +77,7 @@ class TestParsePareto:
 
     def test_bad_batches_rejected(self):
         for bad in ([], [0], [32, 32], ["32"], [True], "32"):
-            with pytest.raises(ProtocolError, match="batches"):
+            with pytest.raises(RequestError, match="batches"):
                 parse_pareto({"model": "alexnet", "batches": bad})
 
 

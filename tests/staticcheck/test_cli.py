@@ -1,12 +1,14 @@
-"""tools/check.py: exit codes, text/JSON output, baseline workflow."""
+"""``repro check`` (``repro.staticcheck.cli.main``): exit codes, text/JSON
+output, baseline workflow."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+
+from repro.staticcheck import cli as check_cli
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -24,12 +26,7 @@ CLEAN = (
 
 @pytest.fixture(scope="module")
 def check():
-    spec = importlib.util.spec_from_file_location(
-        "repro_check_cli", REPO_ROOT / "tools" / "check.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return check_cli
 
 
 def run(check, capsys, *argv):
@@ -191,6 +188,7 @@ def test_cache_round_trip_reuses_results(check, capsys, tmp_path):
 
 
 def test_repro_cli_check_subcommand_matches_tools_wrapper(check, capsys, tmp_path):
+    """The ``repro check`` subcommand and the standalone entry point agree."""
     from repro.cli import main as repro_main
 
     target = tmp_path / "dirty.py"

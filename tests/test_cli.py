@@ -728,7 +728,7 @@ class TestSpotScenario:
         )
         err = capsys.readouterr().err
         assert code == 2
-        assert "requires --scenario spot" in err
+        assert f"{extra[0]} requires scenario 'spot'" in err
 
     @pytest.mark.parametrize("flag, extra", [
         ("--risk-aversion", ["--scenario", "spot", "--risk-aversion", "nan"]),
@@ -740,12 +740,11 @@ class TestSpotScenario:
     def test_non_finite_number_exits_2_naming_flag(self, flag, extra, capsys):
         """Regression: a NaN risk aversion or budget used to fail later
         with a misleading "no candidate" error."""
-        with pytest.raises(SystemExit) as exc:
-            _run(["recommend", "--estimator", "unused.json", "--model",
-                  "alexnet"] + extra)
-        assert exc.value.code == 2
+        code, _ = _run(["recommend", "--estimator", "unused.json", "--model",
+                        "alexnet"] + extra)
+        assert code == 2
         err = capsys.readouterr().err
-        assert f"argument {flag}: must be a finite number" in err
+        assert f"{flag} must be a finite number" in err
 
     def test_negative_risk_aversion_rejected(self, estimator_path, capsys):
         code, _ = _run(
@@ -755,6 +754,27 @@ class TestSpotScenario:
         err = capsys.readouterr().err
         assert code == 2
         assert "risk-aversion" in err
+
+    def test_negative_seed_exits_2_naming_it(self, estimator_path, capsys):
+        """Regression: a negative trace seed ended in a numpy traceback."""
+        code, _ = _run(
+            ["recommend", "--estimator", estimator_path, "--model",
+             "alexnet", "--scenario", "spot", "--seed", "-1"]
+        )
+        assert code == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_serve_negative_spot_seed_exits_2_naming_it(
+        self, estimator_path, tmp_path, capsys
+    ):
+        """Regression: ``serve --spot-seed -1`` ended in a numpy traceback;
+        it now fails before the estimator loads."""
+        code, _ = _run(
+            ["serve", "--estimator", estimator_path, "--spot-seed", "-1",
+             "--workspace", str(tmp_path / "ws")]
+        )
+        assert code == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 class TestAdmitSpotRatio:
