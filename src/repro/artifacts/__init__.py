@@ -2,13 +2,15 @@
 
 One explicit, fingerprint-invalidated caching layer for everything the
 offline phase produces: profile datasets, fitted Ceer estimators,
-ground-truth training measurements, and rendered figure payloads. See
+communication observations, ground-truth training measurements, and
+rendered figure payloads. See
 :mod:`repro.artifacts.workspace` for the facade the rest of the tree uses
 and :mod:`repro.artifacts.store` for tiering/locking/atomicity details.
 """
 
 from repro.artifacts.fingerprint import fingerprint
 from repro.artifacts.kinds import (
+    COMM,
     FIGURE,
     FITTED,
     KINDS,
@@ -35,7 +37,7 @@ from repro.artifacts.workspace import (
 __all__ = [
     "ArtifactKind", "ArtifactStore", "ArtifactInfo", "KindCounters",
     "atomic_write_bytes",
-    "PROFILE", "FITTED", "MEASUREMENT", "FIGURE", "KINDS",
+    "PROFILE", "FITTED", "MEASUREMENT", "FIGURE", "COMM", "KINDS",
     "fingerprint",
     "Workspace", "active_workspace", "set_active_workspace",
     "default_workspace_dir",

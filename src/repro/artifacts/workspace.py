@@ -5,10 +5,10 @@ is expensive, the fitted artifact is a handful of coefficients — is the
 whole reason Ceer exists. A :class:`Workspace` makes that asymmetry a
 first-class object: it wraps one :class:`~repro.artifacts.store.ArtifactStore`
 directory and exposes typed get-or-compute accessors for each artifact the
-pipeline needs (profile datasets, fitted estimators, ground-truth training
-measurements, rendered figures). ``repro fit`` in one process and
-``repro figures`` in another share the same directory and therefore profile
-exactly once.
+pipeline needs (profile datasets, fitted estimators, communication
+observations, ground-truth training measurements, rendered figures).
+``repro fit`` in one process and ``repro figures`` in another share the
+same directory and therefore profile exactly once.
 
 The process-wide *active* workspace (:func:`active_workspace`) replaces the
 old ``@lru_cache`` module globals in ``repro.experiments.common``: same
@@ -29,7 +29,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.artifacts import kinds
 from repro.artifacts.store import ArtifactStore, atomic_write_bytes
 from repro.cloud.pricing import ON_DEMAND, PricingScheme
-from repro.core.fit import FittedCeer, fit_ceer
+from repro.core.comm_model import CommObservation, collect_comm_observations
+from repro.core.fit import COMM_MAX_ITERATIONS, FittedCeer, fit_ceer
 from repro.errors import ArtifactError
 from repro.hardware.gpus import GPU_KEYS, GpuSpec
 from repro.models.zoo import TEST_MODELS, TRAIN_MODELS
@@ -222,6 +223,11 @@ class Workspace:
             return fit_ceer(
                 n_iterations=n_iterations,
                 train_profiles=train_profiles,
+                comm_observations=self.comm_observations(
+                    TRAIN_MODELS, GPU_KEYS, (1, 2, 3, 4),
+                    min(n_iterations, COMM_MAX_ITERATIONS),
+                    placement=placement, jobs=jobs,
+                ),
                 placement=placement,
                 jobs=jobs,
                 backend=backend,
@@ -230,6 +236,42 @@ class Workspace:
         return self.store.get_or_create(
             kinds.FITTED, spec, compute, kinds.encode_fitted,
             lambda payload: kinds.decode_fitted(payload, train_profiles),
+        )
+
+    # -- communication observations ------------------------------------
+    def comm_observations(
+        self,
+        models: Sequence[str],
+        gpu_keys: Sequence[str],
+        gpu_counts: Sequence[int],
+        n_iterations: int,
+        placement: str = "single-host",
+        jobs: Optional[int] = None,
+    ) -> List[CommObservation]:
+        """Per-iteration comm overheads for every (model, GPU, k), cached.
+
+        Read by the fit on a fitted-artifact miss and by the Fig. 7 driver.
+        Models and GPUs keep their order in the spec: it is the order of
+        the observations.
+        """
+        spec: Dict[str, object] = {
+            "models": list(models),
+            "gpus": list(gpu_keys),
+            "gpu_counts": list(gpu_counts),
+            "iterations": n_iterations,
+            "batch": 32,
+            "seed": "",
+            "placement": placement,
+        }
+
+        def compute() -> List[CommObservation]:
+            return collect_comm_observations(
+                list(models), list(gpu_keys), gpu_counts,
+                n_iterations=n_iterations, placement=placement, jobs=jobs,
+            )
+
+        return self.store.get_or_create(
+            kinds.COMM, spec, compute, kinds.encode_comm, kinds.decode_comm,
         )
 
     # -- ground-truth measurements -------------------------------------

@@ -31,7 +31,7 @@ from repro.errors import CatalogError, ModelingError
 from repro.graph.flops import graph_flops
 from repro.graph.graph import OpGraph
 from repro.models.zoo import build_model
-from repro.sim.executor import run_iterations
+from repro.sim.executor import compute_us
 from repro.workloads.dataset import TrainingJob
 from repro.core.estimator import CeerEstimator, TrainingPrediction
 from repro.core.regression import RegressionModel, fit_regression
@@ -90,9 +90,8 @@ class PaleoStyleEstimator:
             rows, targets = [], []
             for name in train_models:
                 graph = build_model(name, batch_size=batch_size)
-                profile = run_iterations(graph, gpu_key, n_iterations)
                 rows.append([graph_flops(graph.operations) / 1e9])
-                targets.append(profile.compute_us)
+                targets.append(compute_us(graph, gpu_key, n_iterations))
             fitted[gpu_key] = fit_regression(
                 np.asarray(rows), np.asarray(targets), ("gflops",),
                 allow_quadratic=False,

@@ -26,8 +26,9 @@ import numpy as np
 from repro.errors import ModelingError
 from repro.graph.graph import OpGraph
 from repro.models.zoo import build_model
+from repro.hardware.gpus import gpu_spec
 from repro.sim.dataparallel import sample_comm_overhead_us
-from repro.sim.executor import run_iterations
+from repro.sim.executor import compute_us
 from repro.core.regression import RegressionModel, fit_regression
 
 
@@ -58,14 +59,15 @@ def collect_comm_cell(
     without changing any measured value.
     """
     observations: List[CommObservation] = []
-    compute_1 = run_iterations(graph, gpu_key, n_iterations, seed_context)
+    # The compute term cancels below but is kept for its rounding.
+    compute_1 = compute_us(graph, gpu_key, n_iterations, seed_context)
     comm_1 = float(
         sample_comm_overhead_us(
             gpu_key, 1, graph.num_parameters, n_iterations, seed_context,
             num_variables=graph.num_variables, placement=placement,
         ).mean()
     )
-    per_iter_1 = compute_1.compute_us + comm_1
+    per_iter_1 = compute_1 + comm_1
     for k in gpu_counts:
         if k == 1:
             overhead_us = comm_1
@@ -77,12 +79,12 @@ def collect_comm_cell(
                     placement=placement,
                 ).mean()
             )
-            per_iter_k = compute_1.compute_us + comm_k
+            per_iter_k = compute_1 + comm_k
             overhead_us = (per_iter_k - per_iter_1) + comm_1
         observations.append(
             CommObservation(
                 model=graph.name,
-                gpu_key=compute_1.gpu_key,
+                gpu_key=gpu_spec(gpu_key).key,
                 num_gpus=k,
                 num_parameters=graph.num_parameters,
                 overhead_us=overhead_us,

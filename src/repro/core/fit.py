@@ -21,9 +21,16 @@ from repro.core.classify import (
     REFERENCE_GPU,
     classify_operations,
 )
-from repro.core.comm_model import collect_comm_observations, fit_comm_model
+from repro.core.comm_model import (
+    CommObservation,
+    collect_comm_observations,
+    fit_comm_model,
+)
 from repro.core.estimator import CeerEstimator
 from repro.core.op_models import fit_compute_models
+
+#: Communication overheads are measured over at most this many iterations.
+COMM_MAX_ITERATIONS = 300
 
 
 @dataclass
@@ -100,6 +107,7 @@ def fit_ceer(
     threshold_us: float = LIGHT_THRESHOLD_US,
     reference_gpu: str = REFERENCE_GPU,
     train_profiles: Optional[ProfileDataset] = None,
+    comm_observations: Optional[Sequence[CommObservation]] = None,
     strict_unseen: bool = False,
     seed_context: str = "",
     placement: str = "single-host",
@@ -117,6 +125,8 @@ def fit_ceer(
         gpu_counts: k values to fit communication models for.
         threshold_us / reference_gpu: light-op classification rule.
         train_profiles: reuse an existing profile dataset (skips profiling).
+        comm_observations: reuse communication observations collected
+            for these models, GPUs and counts (skips their collection).
         strict_unseen: raise on unseen GPU op types instead of using the
             light median (paper, Section IV-D / Limitations).
         seed_context: simulation seed context for independent re-runs.
@@ -154,12 +164,14 @@ def fit_ceer(
                 jobs=jobs, backend=backend,
             )
         with span("fit.comm_model"):
-            observations = collect_comm_observations(
-                list(train_models), list(gpu_keys), gpu_counts,
-                n_iterations=min(n_iterations, 300), batch_size=batch_size,
-                seed_context=seed_context, placement=placement, jobs=jobs,
-            )
-            comm_model = fit_comm_model(observations, jobs=jobs)
+            if comm_observations is None:
+                comm_observations = collect_comm_observations(
+                    list(train_models), list(gpu_keys), gpu_counts,
+                    n_iterations=min(n_iterations, COMM_MAX_ITERATIONS),
+                    batch_size=batch_size,
+                    seed_context=seed_context, placement=placement, jobs=jobs,
+                )
+            comm_model = fit_comm_model(comm_observations, jobs=jobs)
     estimator = CeerEstimator(compute_models, comm_model)
     if compute_models.heavy_models:
         fitted_gpu_keys = tuple(sorted({g for g, _ in compute_models.heavy_models}))

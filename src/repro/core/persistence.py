@@ -261,6 +261,10 @@ def load_estimator(path: Union[str, Path]) -> CeerEstimator:
     """Load a fitted estimator previously written by :func:`save_estimator`."""
     try:
         data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ModelingError(
+            f"cannot read estimator {path}: {exc.strerror or exc}"
+        ) from exc
     except json.JSONDecodeError as exc:
         raise ModelingError(f"{path} is not valid JSON: {exc}") from exc
     return estimator_from_dict(data)

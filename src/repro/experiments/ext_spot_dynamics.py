@@ -23,14 +23,18 @@ Everything is deterministic from the trace seed: same seed, same table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.reporting import format_table
+from repro.artifacts.workspace import Workspace
 from repro.cloud.spotsim import SpotMarket
-from repro.core.fit import fit_ceer
 from repro.core.preempt import DEFAULT_PREEMPTION
 from repro.core.rerank import SpotRerankSession
-from repro.experiments.common import CANONICAL_ITERATIONS, IMAGENET_JOB
+from repro.experiments.common import (
+    CANONICAL_ITERATIONS,
+    IMAGENET_JOB,
+    fitted_ceer,
+)
 from repro.obs.spans import traced
 
 __all__ = ["SpotDynamicsResult", "run_spot_dynamics"]
@@ -85,6 +89,7 @@ def run_spot_dynamics(
     n_ticks: int = 16,
     risk_aversions: Sequence[float] = (0.0, 0.5, 2.0, 8.0),
     n_iterations: int = CANONICAL_ITERATIONS,
+    workspace: Optional[Workspace] = None,
 ) -> SpotDynamicsResult:
     """Stream ``n_ticks`` prices and record each λ's per-tick winner.
 
@@ -92,7 +97,7 @@ def run_spot_dynamics(
     re-rank over the cached tensors — the same path ``repro serve``
     takes on ``POST /spot/tick``.
     """
-    fitted = fit_ceer(n_iterations=n_iterations)
+    fitted = fitted_ceer(n_iterations, workspace=workspace)
     session = SpotRerankSession.from_estimator(
         fitted.estimator, model, IMAGENET_JOB
     )

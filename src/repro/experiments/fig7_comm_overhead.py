@@ -9,13 +9,13 @@ Ceer's S_GPU model regresses (R² 0.88-0.98 in the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.reporting import format_table
+from repro.artifacts.workspace import Workspace, active_workspace
 from repro.core.comm_model import (
     CommObservation,
     CommunicationModel,
-    collect_comm_observations,
     fit_comm_model,
 )
 from repro.hardware.gpus import GPU_KEYS
@@ -75,10 +75,12 @@ def run_fig7(
     models: Sequence[str] = TRAIN_MODELS,
     gpu_counts: Tuple[int, ...] = (1, 2, 3, 4),
     n_iterations: int = 300,
+    workspace: Optional[Workspace] = None,
 ) -> Fig7Result:
-    """Regenerate Figure 7: measure overheads and fit the linear models."""
-    observations = collect_comm_observations(
-        list(models), list(GPU_KEYS), gpu_counts, n_iterations=n_iterations
+    """Regenerate Figure 7: fit the linear models to the (workspace-cached)
+    overheads the fit measured."""
+    observations = (workspace or active_workspace()).comm_observations(
+        models, GPU_KEYS, gpu_counts, n_iterations
     )
     model = fit_comm_model(observations)
     return Fig7Result(

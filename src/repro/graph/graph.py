@@ -9,6 +9,7 @@ is the sole input to Ceer's communication-overhead model (Section IV-C).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -35,6 +36,7 @@ class OpGraph:
     num_variables: int = 0
     _ops: Dict[str, Operation] = field(default_factory=dict)
     _topo_cache: Optional[List[Operation]] = field(default=None, repr=False)
+    _digest_cache: Optional[str] = field(default=None, repr=False, compare=False)
 
     # -- construction -----------------------------------------------------
     def add(self, op: Operation) -> Operation:
@@ -49,6 +51,7 @@ class OpGraph:
                 )
         self._ops[op.name] = op
         self._topo_cache = None
+        self._digest_cache = None
         return op
 
     def extend(self, ops: Iterable[Operation]) -> None:
@@ -76,6 +79,17 @@ class OpGraph:
         """All operations in insertion order (a valid topological order,
         since producers must be added before consumers)."""
         return tuple(self._ops.values())
+
+    def content_digest(self) -> str:
+        """SHA-256 over every operation's full description, in order.
+
+        Two graphs with equal digests simulate identically whatever their
+        names; cached until the next :meth:`add`.
+        """
+        if self._digest_cache is None:
+            text = "\n".join(repr(op) for op in self._ops.values())
+            self._digest_cache = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return self._digest_cache
 
     def ops_on(self, device: Device) -> Tuple[Operation, ...]:
         return tuple(op for op in self._ops.values() if op.device is device)

@@ -104,6 +104,7 @@ METRIC_CATALOG: Mapping[str, str] = {
     "serve.reloads": "successful snapshot hot swaps",
     "serve.request_us": "request wall-clock latency in microseconds {endpoint=...}",
     "serve.requests": "HTTP requests served {endpoint=...,status=...}",
+    "sim.cells": "simulated-cell lookups in the per-process memo {result=hit|miss}",
     "spot.reranks": "incremental spot re-rankings over a cached base sweep",
     "spot.ticks": "spot-market price ticks",
     "transfer.fits": "pooled transfer-model fits",

@@ -15,19 +15,8 @@ from repro.profiling.profiler import Profiler
 from repro.profiling.records import ProfileDataset, ProfileRecord
 
 
-def __getattr__(name: str):  # pragma: no cover - thin lazy-import shim
-    # ProfileCache now adapts the artifact store, which depends on the core
-    # fitting layer, which reads profile records from this package. Importing
-    # it lazily keeps ``repro.core`` -> ``repro.profiling`` import-safe.
-    if name == "ProfileCache":
-        from repro.profiling.cache import ProfileCache
-
-        return ProfileCache
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "Profiler",
-    "ProfileCache",
     "ProfileDataset",
     "ProfileRecord",
     "features_for",

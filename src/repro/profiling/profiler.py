@@ -51,7 +51,6 @@ class Profiler:
             "profile.run", model=graph.name, gpu=gpu_key,
             iterations=self.n_iterations,
         ):
-            profile = run_iterations(graph, gpu_key, self.n_iterations, seed_context)
             op_by_name = {}
             duplicates = set()
             for op in graph.operations:
@@ -67,6 +66,7 @@ class Profiler:
                     f"{sorted(duplicates)}; profile records cannot be "
                     f"attributed unambiguously"
                 )
+            profile = run_iterations(graph, gpu_key, self.n_iterations, seed_context)
             records = [
                 ProfileRecord.from_timing(
                     graph.name, timing, features_for(op_by_name[timing.op_name])

@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
-from repro.graph.ops import Device, Operation
+from repro.graph.ops import Device
 from repro.units import us_to_hr, usd_per_hr_to_usd
 
 
@@ -37,25 +35,6 @@ class OpTiming:
     median_us: float
     min_us: float
     max_us: float
-
-    @classmethod
-    def from_samples(
-        cls, op: Operation, gpu_key: str, samples: np.ndarray
-    ) -> "OpTiming":
-        return cls(
-            op_name=op.name,
-            op_type=op.op_type,
-            device=op.device.value,
-            gpu_key=gpu_key,
-            input_bytes=op.input_bytes,
-            output_bytes=op.output_bytes,
-            n_samples=int(samples.size),
-            mean_us=float(samples.mean()),
-            std_us=float(samples.std(ddof=1)) if samples.size > 1 else 0.0,
-            median_us=float(np.median(samples)),
-            min_us=float(samples.min()),
-            max_us=float(samples.max()),
-        )
 
     @property
     def normalized_std(self) -> float:

@@ -15,9 +15,10 @@ from typing import Optional, Union
 from repro.cloud.catalog import InstanceType
 from repro.cloud.pricing import ON_DEMAND, PricingScheme
 from repro.graph.graph import OpGraph
+from repro.hardware.gpus import gpu_spec
 from repro.models.zoo import build_model
 from repro.sim.dataparallel import sample_comm_overhead_us
-from repro.sim.executor import run_iterations
+from repro.sim.executor import compute_us
 from repro.sim.trace import TrainingMeasurement
 from repro.workloads.dataset import TrainingJob
 
@@ -58,7 +59,7 @@ def measure_training(
         A :class:`TrainingMeasurement` with observed time and cost.
     """
     graph = build_model(model, batch_size=job.batch_size) if isinstance(model, str) else model
-    profile = run_iterations(graph, gpu_key, n_profile_iterations, seed_context)
+    compute = compute_us(graph, gpu_key, n_profile_iterations, seed_context)
     comm = sample_comm_overhead_us(
         gpu_key, num_gpus, graph.num_parameters, n_profile_iterations,
         seed_context, num_variables=graph.num_variables, placement=placement,
@@ -67,12 +68,12 @@ def measure_training(
         instance = pricing.instance(gpu_key, num_gpus)
     return TrainingMeasurement(
         model=graph.name,
-        gpu_key=profile.gpu_key,
+        gpu_key=gpu_spec(gpu_key).key,
         num_gpus=num_gpus,
         instance_name=instance.name,
         usd_per_hr=instance.usd_per_hr,
         batch_size=job.batch_size,
-        compute_us_per_iteration=profile.compute_us,
+        compute_us_per_iteration=compute,
         comm_overhead_us=float(comm.mean()),
         iterations=job.iterations(num_gpus),
     )

@@ -78,6 +78,43 @@ print(json.dumps(ws.counters_to_json()))
         assert fig_counters["profile"]["misses"] == 0
         assert fig_counters["fitted"]["misses"] == 0
 
+    def test_figures_after_fit_simulate_each_cell_once(self, tmp_path):
+        """After a fit process, the comm figure, the ablations and the spot
+        study profile nothing, refit nothing, re-collect no comm overheads,
+        and simulate each remaining cell exactly once."""
+        workspace = tmp_path / "shared-ws"
+        run_script("""
+from repro.artifacts.workspace import Workspace
+ws = Workspace()
+ws.fitted_ceer(10)
+ws.test_profiles(10)
+""", workspace)
+        figures_script = """
+import json
+from repro.artifacts.workspace import Workspace, set_active_workspace
+from repro.experiments import run_ablations, run_fig7, run_spot_dynamics
+from repro.obs.metrics import default_registry
+ws = Workspace()
+set_active_workspace(ws)
+run_fig7(n_iterations=10).render()
+run_ablations(n_iterations=10).render()
+run_spot_dynamics(n_iterations=10).render()
+registry = default_registry()
+print(json.dumps({
+    "store": ws.counters_to_json(),
+    "profiling_runs": sum(
+        i.value for i in registry if i.name == "profiling.runs"),
+    "cell_misses": registry.counter("sim.cells", result="miss").value,
+}))
+"""
+        counters = json.loads(run_script(figures_script, workspace))
+        for kind in ("profile", "fitted", "comm"):
+            assert counters["store"][kind]["misses"] == 0, kind
+        assert counters["profiling_runs"] == 0
+        # The PALEO baseline's 8 training CNNs x 4 GPUs, plus the 4 held-out
+        # CNNs x 4 GPUs of ground truth shared by every GPU count k.
+        assert counters["cell_misses"] == 8 * 4 + 4 * 4
+
 
 class TestRacingWriters:
     def test_two_writers_one_compute(self, tmp_path):

@@ -7,12 +7,19 @@ independent reference the kernel is checked against — a plain walk over
 the graph with no compilation, no stacking and no caches — and the only
 copy of it. Tests and benchmarks compare the two within :data:`REL_TOL`;
 :func:`kernel_us` is the kernel side of that comparison for one graph.
+
+The simulator's statistics have their reference here too:
+:func:`oracle_timings` draws each op's samples and reduces them one op at
+a time, five numpy reductions per op. The stacked (ops x iterations)
+statistics of :mod:`repro.sim.executor` must match it bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from typing import Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.cloud.pricing import ON_DEMAND, PricingScheme
 from repro.core.batch import StackedOpModels, SweepPlan
@@ -24,8 +31,10 @@ from repro.errors import CatalogError, UnseenOperationError
 from repro.graph.graph import OpGraph
 from repro.graph.ops import Device, Operation
 from repro.hardware.gpus import gpu_spec
+from repro.hardware.kernel_model import sample_op_times_us
 from repro.models.zoo import build_model
 from repro.profiling.features import features_for
+from repro.sim.trace import OpTiming
 from repro.workloads.dataset import TrainingJob
 
 #: Kernel and oracle agree to this relative tolerance. Not bitwise: the
@@ -169,3 +178,36 @@ def oracle_sweep(
                         compute_us=compute[(gpu_key, batch_size)],
                     ))
     return predictions
+
+
+def op_timing_from_samples(
+    op: Operation, gpu_key: str, samples: np.ndarray
+) -> OpTiming:
+    """One op's timing statistics, each a separate reduction of its samples."""
+    return OpTiming(
+        op_name=op.name,
+        op_type=op.op_type,
+        device=op.device.value,
+        gpu_key=gpu_key,
+        input_bytes=op.input_bytes,
+        output_bytes=op.output_bytes,
+        n_samples=int(samples.size),
+        mean_us=float(samples.mean()),
+        std_us=float(samples.std(ddof=1)) if samples.size > 1 else 0.0,
+        median_us=float(np.median(samples)),
+        min_us=float(samples.min()),
+        max_us=float(samples.max()),
+    )
+
+
+def oracle_timings(
+    graph: OpGraph, gpu_key: str, n_iterations: int, seed_context: str = ""
+) -> Tuple[OpTiming, ...]:
+    """The simulator's per-op timings, one op at a time, with no memo."""
+    key = gpu_spec(gpu_key).key
+    return tuple(
+        op_timing_from_samples(
+            op, key, sample_op_times_us(op, key, n_iterations, seed_context)
+        )
+        for op in graph.operations
+    )

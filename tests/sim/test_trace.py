@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.sim.trace import OpTiming, TrainingMeasurement
+from repro.sim.trace import TrainingMeasurement
+from tests.oracle import op_timing_from_samples
 
 
 class TestTrainingMeasurement:
@@ -36,18 +37,18 @@ class TestTrainingMeasurement:
 class TestOpTimingStats:
     def test_normalized_std_zero_mean_safe(self, tiny_graph):
         op = tiny_graph.operations[0]
-        timing = OpTiming.from_samples(op, "V100", np.array([0.0, 0.0]))
+        timing = op_timing_from_samples(op, "V100", np.array([0.0, 0.0]))
         assert timing.normalized_std == 0.0
 
     def test_percentile_fields_ordered(self, tiny_graph):
         op = tiny_graph.operations[5]
         samples = np.random.default_rng(0).uniform(1, 100, 500)
-        t = OpTiming.from_samples(op, "K80", samples)
+        t = op_timing_from_samples(op, "K80", samples)
         assert t.min_us <= t.median_us <= t.max_us
         assert t.n_samples == 500
 
     def test_bytes_copied_from_op(self, tiny_graph):
         op = tiny_graph.operations[7]
-        t = OpTiming.from_samples(op, "T4", np.array([1.0, 2.0]))
+        t = op_timing_from_samples(op, "T4", np.array([1.0, 2.0]))
         assert t.input_bytes == op.input_bytes
         assert t.output_bytes == op.output_bytes

@@ -62,6 +62,18 @@ class TestPredict:
         code, _ = _run(["predict", "--estimator", estimator_path, "--gpu", "T4"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--model", "alexnet", "--gpu", "V100"],
+        ["recommend", "--model", "alexnet"],
+        ["tradeoff", "--model", "alexnet"],
+    ])
+    def test_missing_estimator_file_is_a_named_error(self, argv, tmp_path, capsys):
+        missing = str(tmp_path / "nonexistent.json")
+        code, _ = _run([argv[0], "--estimator", missing, *argv[1:]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert missing in err and "Traceback" not in err
+
 
 class TestRecommend:
     def test_min_cost(self, estimator_path):
