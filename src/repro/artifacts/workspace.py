@@ -97,17 +97,8 @@ class Workspace:
         n_iterations: int,
         batch_size: int = 32,
         seed_context: str = "",
-        jobs: Optional[int] = None,
     ) -> ProfileDataset:
-        """The profile dataset for this configuration, profiling on a miss.
-
-        ``jobs`` fans the sweep out: one worker process per (model, GPU)
-        cell, each writing its cell through this workspace (the store's
-        per-key locks make racing writers compute once); the combined
-        dataset is then assembled under the unchanged spec, so its key and
-        bytes match a serial sweep exactly. ``jobs=None`` profiles
-        directly in-process with no cell artifacts.
-        """
+        """The profile dataset for this configuration, profiling on a miss."""
         spec: Dict[str, object] = {
             "models": sorted(models),
             "gpus": sorted(gpu_keys),
@@ -117,11 +108,6 @@ class Workspace:
         }
 
         def compute() -> ProfileDataset:
-            if jobs is not None and len(models) * len(gpu_keys) > 1:
-                return self._assemble_profiles(
-                    list(models), list(gpu_keys), n_iterations,
-                    batch_size, seed_context, jobs,
-                )
             profiler = Profiler(n_iterations=n_iterations, batch_size=batch_size)
             return profiler.profile_many(list(models), list(gpu_keys), seed_context)
 
@@ -130,60 +116,18 @@ class Workspace:
             kinds.encode_profiles, kinds.decode_profiles,
         )
 
-    def _assemble_profiles(
-        self,
-        models: Sequence[str],
-        gpu_keys: Sequence[str],
-        n_iterations: int,
-        batch_size: int,
-        seed_context: str,
-        jobs: int,
-    ) -> ProfileDataset:
-        """Fan the sweep out per cell, then concatenate in serial order.
-
-        Each worker profiles one (model, GPU) cell into this workspace as
-        its own single-cell artifact; the parent re-reads every cell (disk
-        hits) and concatenates them in ``profile_many``'s model-major
-        order, so the assembled dataset — and therefore the combined
-        artifact's bytes — is identical to a serial sweep's.
-        """
-        from repro.parallel import ProfileCellTask, run_fanout
-
-        cells = [(model, gpu_key) for model in models for gpu_key in gpu_keys]
-        tasks = [
-            ProfileCellTask(
-                model=model, gpu_key=gpu_key, n_iterations=n_iterations,
-                batch_size=batch_size, seed_context=seed_context,
-                workspace_dir=str(self.directory),
-            )
-            for model, gpu_key in cells
-        ]
-        run_fanout(tasks, jobs=jobs)
-        return ProfileDataset.concat([
-            self.profiles(
-                [model], [gpu_key], n_iterations,
-                batch_size=batch_size, seed_context=seed_context,
-            )
-            for model, gpu_key in cells
-        ])
-
     def training_profiles(
-        self,
-        n_iterations: int = CANONICAL_ITERATIONS,
-        jobs: Optional[int] = None,
+        self, n_iterations: int = CANONICAL_ITERATIONS
     ) -> ProfileDataset:
         """Profiles of the 8 training-set CNNs on all four GPU models."""
-        return self.profiles(TRAIN_MODELS, GPU_KEYS, n_iterations, jobs=jobs)
+        return self.profiles(TRAIN_MODELS, GPU_KEYS, n_iterations)
 
     def test_profiles(
-        self,
-        n_iterations: int = CANONICAL_ITERATIONS,
-        jobs: Optional[int] = None,
+        self, n_iterations: int = CANONICAL_ITERATIONS
     ) -> ProfileDataset:
         """Profiles of the 4 held-out test CNNs (for validation experiments)."""
         return self.profiles(
             TEST_MODELS, GPU_KEYS, n_iterations, seed_context=EVAL_SEED,
-            jobs=jobs,
         )
 
     # -- fitted estimators ---------------------------------------------
@@ -191,22 +135,18 @@ class Workspace:
         self,
         n_iterations: int = CANONICAL_ITERATIONS,
         placement: str = "single-host",
-        jobs: Optional[int] = None,
         backend: str = "per_gpu",
     ) -> FittedCeer:
         """The canonical fitted Ceer estimator for this configuration.
 
         The training profiles are resolved (and cached) first as their own
         artifact; the fitted artifact stores only the estimator and
-        diagnostics and re-binds the profile dataset on load. ``jobs``
-        parallelizes both the profiling sweep and the regression/comm
-        fits; it is deliberately *not* part of the artifact spec — the
-        fitted bytes are identical at any job count. ``backend`` selects
-        the op-model backend (``"per_gpu"`` or ``"transfer"``); the key
-        is added to the spec only off the default, so every pre-existing
-        per-GPU artifact keeps its address.
+        diagnostics and re-binds the profile dataset on load. ``backend``
+        selects the op-model backend (``"per_gpu"`` or ``"transfer"``); the
+        key is added to the spec only off the default, so every
+        pre-existing per-GPU artifact keeps its address.
         """
-        train_profiles = self.training_profiles(n_iterations, jobs=jobs)
+        train_profiles = self.training_profiles(n_iterations)
         spec: Dict[str, object] = {
             "models": sorted(TRAIN_MODELS),
             "gpus": sorted(GPU_KEYS),
@@ -226,10 +166,9 @@ class Workspace:
                 comm_observations=self.comm_observations(
                     TRAIN_MODELS, GPU_KEYS, (1, 2, 3, 4),
                     min(n_iterations, COMM_MAX_ITERATIONS),
-                    placement=placement, jobs=jobs,
+                    placement=placement,
                 ),
                 placement=placement,
-                jobs=jobs,
                 backend=backend,
             )
 
@@ -246,7 +185,6 @@ class Workspace:
         gpu_counts: Sequence[int],
         n_iterations: int,
         placement: str = "single-host",
-        jobs: Optional[int] = None,
     ) -> List[CommObservation]:
         """Per-iteration comm overheads for every (model, GPU, k), cached.
 
@@ -267,7 +205,7 @@ class Workspace:
         def compute() -> List[CommObservation]:
             return collect_comm_observations(
                 list(models), list(gpu_keys), gpu_counts,
-                n_iterations=n_iterations, placement=placement, jobs=jobs,
+                n_iterations=n_iterations, placement=placement,
             )
 
         return self.store.get_or_create(

@@ -124,10 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--no-warm-test-profiles", action="store_true",
                      help="skip pre-profiling the held-out test CNNs "
                           "(figures needing them will profile later)")
-    fit.add_argument("--jobs", type=int, metavar="N",
-                     help="profile and fit with N worker processes "
-                          "(artifacts are byte-identical at any N; "
-                          "default: serial)")
     add_workspace_arg(fit)
 
     def add_workload_args(p):
@@ -274,9 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--counters-out",
                          help="write per-kind workspace hit/miss counters "
                               "JSON to this file")
-    figures.add_argument("--jobs", type=int, metavar="N",
-                         help="render figures with N worker processes "
-                              "(output is identical; default: serial)")
     add_workspace_arg(figures)
 
     cache = sub.add_parser("cache", help="inspect the artifact workspace")
@@ -301,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_workspace_arg(cache_key)
 
     check = sub.add_parser(
-        "check", help="static analysis: unit, routing, axis, fork, "
+        "check", help="static analysis: unit, routing, axis, "
                       "fingerprint, and obs rule families"
     )
     from repro.staticcheck.cli import add_check_arguments
@@ -423,13 +416,12 @@ def _cmd_models(args, out) -> int:
 def _cmd_fit(args, out) -> int:
     workspace = _resolve_workspace(args)
     fitted = workspace.fitted_ceer(
-        args.iterations, placement=args.placement, jobs=args.jobs,
-        backend=args.backend,
+        args.iterations, placement=args.placement, backend=args.backend,
     )
     if not args.no_warm_test_profiles:
         # Pre-profile the held-out CNNs so a later ``repro figures`` process
         # (validation/ablation figures) starts from a fully warm workspace.
-        workspace.test_profiles(args.iterations, jobs=args.jobs)
+        workspace.test_profiles(args.iterations)
     save_estimator(fitted.estimator, args.output)
     print(fitted.diagnostics.summary(), file=out)
     print(f"estimator saved to {args.output}", file=out)
@@ -737,22 +729,6 @@ def _cmd_figures(args, out) -> int:
     # helpers in experiments.common) resolves artifacts from it.
     previous = set_active_workspace(workspace)
     try:
-        if args.jobs is not None and len(names) > 1:
-            # Render every figure into the workspace in parallel first;
-            # the assembly loop below then reads back pure cache hits, so
-            # the report's content and order match a serial run exactly.
-            from repro.parallel import FigureTask, run_fanout
-
-            run_fanout(
-                [
-                    FigureTask(
-                        name=name, n_iterations=args.iterations,
-                        workspace_dir=str(workspace.directory),
-                    )
-                    for name in names
-                ],
-                jobs=args.jobs,
-            )
         sections = []
         for name in names:
             rendered = workspace.figure(

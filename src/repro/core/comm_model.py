@@ -19,7 +19,7 @@ Observations are gathered the way the paper describes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,56 +43,6 @@ class CommObservation:
     overhead_us: float
 
 
-def collect_comm_cell(
-    graph: OpGraph,
-    gpu_key: str,
-    gpu_counts: Sequence[int],
-    n_iterations: int = 300,
-    seed_context: str = "",
-    placement: str = "single-host",
-) -> List[CommObservation]:
-    """Measure one (model, GPU) cell's overheads across all GPU counts.
-
-    Sampling depends only on (graph, gpu_key, seed_context) — cells are
-    independent of sweep order, which is what lets
-    :func:`collect_comm_observations` fan them out to worker processes
-    without changing any measured value.
-    """
-    observations: List[CommObservation] = []
-    # The compute term cancels below but is kept for its rounding.
-    compute_1 = compute_us(graph, gpu_key, n_iterations, seed_context)
-    comm_1 = float(
-        sample_comm_overhead_us(
-            gpu_key, 1, graph.num_parameters, n_iterations, seed_context,
-            num_variables=graph.num_variables, placement=placement,
-        ).mean()
-    )
-    per_iter_1 = compute_1 + comm_1
-    for k in gpu_counts:
-        if k == 1:
-            overhead_us = comm_1
-        else:
-            comm_k = float(
-                sample_comm_overhead_us(
-                    gpu_key, k, graph.num_parameters, n_iterations,
-                    seed_context, num_variables=graph.num_variables,
-                    placement=placement,
-                ).mean()
-            )
-            per_iter_k = compute_1 + comm_k
-            overhead_us = (per_iter_k - per_iter_1) + comm_1
-        observations.append(
-            CommObservation(
-                model=graph.name,
-                gpu_key=gpu_spec(gpu_key).key,
-                num_gpus=k,
-                num_parameters=graph.num_parameters,
-                overhead_us=overhead_us,
-            )
-        )
-    return observations
-
-
 def collect_comm_observations(
     models: Sequence[Union[str, OpGraph]],
     gpu_keys: Sequence[str],
@@ -101,37 +51,13 @@ def collect_comm_observations(
     batch_size: int = 32,
     seed_context: str = "",
     placement: str = "single-host",
-    jobs: Optional[int] = None,
 ) -> List[CommObservation]:
     """Measure communication overheads for every (model, GPU, k) triple.
 
     ``placement`` selects the GPU topology the overheads are measured on
     (Section VI: a multi-host deployment needs a retrained comm model).
-    ``jobs`` fans the (model, GPU) cells out to worker processes (zoo-name
-    models only — pre-built graphs always measure serially); observations
-    come back in the serial loop's order either way.
     """
-    cells = [(model, gpu_key) for model in models for gpu_key in gpu_keys]
-    if (
-        jobs is not None and jobs != 1 and len(cells) > 1
-        and all(isinstance(model, str) for model, _ in cells)
-    ):
-        from repro.parallel import CommObservationTask, run_fanout
-
-        tasks = [
-            CommObservationTask(
-                model=str(model), gpu_key=gpu_key, gpu_counts=tuple(gpu_counts),
-                n_iterations=n_iterations, batch_size=batch_size,
-                seed_context=seed_context, placement=placement,
-            )
-            for model, gpu_key in cells
-        ]
-        observations: List[CommObservation] = []
-        for outcome in run_fanout(tasks, jobs=jobs):
-            observations.extend(outcome.value)
-        return observations
-
-    observations = []
+    observations: List[CommObservation] = []
     for model in models:
         graph = (
             build_model(model, batch_size=batch_size)
@@ -139,12 +65,37 @@ def collect_comm_observations(
             else model
         )
         for gpu_key in gpu_keys:
-            observations.extend(
-                collect_comm_cell(
-                    graph, gpu_key, gpu_counts, n_iterations=n_iterations,
-                    seed_context=seed_context, placement=placement,
-                )
+            # The compute term cancels below but is kept for its rounding.
+            compute_1 = compute_us(graph, gpu_key, n_iterations, seed_context)
+            comm_1 = float(
+                sample_comm_overhead_us(
+                    gpu_key, 1, graph.num_parameters, n_iterations, seed_context,
+                    num_variables=graph.num_variables, placement=placement,
+                ).mean()
             )
+            per_iter_1 = compute_1 + comm_1
+            for k in gpu_counts:
+                if k == 1:
+                    overhead_us = comm_1
+                else:
+                    comm_k = float(
+                        sample_comm_overhead_us(
+                            gpu_key, k, graph.num_parameters, n_iterations,
+                            seed_context, num_variables=graph.num_variables,
+                            placement=placement,
+                        ).mean()
+                    )
+                    per_iter_k = compute_1 + comm_k
+                    overhead_us = (per_iter_k - per_iter_1) + comm_1
+                observations.append(
+                    CommObservation(
+                        model=graph.name,
+                        gpu_key=gpu_spec(gpu_key).key,
+                        num_gpus=k,
+                        num_parameters=graph.num_parameters,
+                        overhead_us=overhead_us,
+                    )
+                )
     return observations
 
 
@@ -200,67 +151,24 @@ class CommunicationModel:
         return tuple(sorted(self.models))
 
 
-def fit_comm_group(
-    key: Tuple[str, int],
-    parameter_counts: Sequence[int],
-    overheads_us: Sequence[float],
-) -> RegressionModel:
-    """Fit one (GPU model, k) group's overhead-vs-parameters regression.
-
-    Shared by the serial loop and the parallel
-    :class:`~repro.parallel.plan.CommFitTask`, so both produce identical
-    coefficients from identical observations.
-    """
-    if len(parameter_counts) < 3:
-        raise ModelingError(
-            f"need >= 3 CNNs to fit the communication model for {key}, "
-            f"got {len(parameter_counts)}"
-        )
-    x = np.asarray([[p / 1e6] for p in parameter_counts])
-    y = np.asarray(list(overheads_us))
-    return fit_regression(x, y, ("mparams",), allow_quadratic=False)
-
-
-def fit_comm_model(
-    observations: Sequence[CommObservation],
-    jobs: Optional[int] = None,
-) -> CommunicationModel:
-    """Fit per-(GPU, k) linear regressions of overhead vs parameter count.
-
-    ``jobs`` fans the per-(GPU, k) fits out to worker processes (None =
-    serial); results are identical either way.
-    """
+def fit_comm_model(observations: Sequence[CommObservation]) -> CommunicationModel:
+    """Fit per-(GPU, k) linear regressions of overhead vs parameter count."""
     if not observations:
         raise ModelingError("cannot fit a communication model with no observations")
     grouped: Dict[Tuple[str, int], List[CommObservation]] = {}
     for obs in observations:
         grouped.setdefault((obs.gpu_key, obs.num_gpus), []).append(obs)
 
-    keys = list(grouped)
-    if jobs is not None and jobs != 1 and len(keys) > 1:
-        from repro.parallel import CommFitTask, run_fanout
-
-        tasks = [
-            CommFitTask(
-                gpu_key=gpu_key, num_gpus=num_gpus,
-                parameter_counts=tuple(o.num_parameters for o in grouped[(gpu_key, num_gpus)]),
-                overheads_us=tuple(o.overhead_us for o in grouped[(gpu_key, num_gpus)]),
-            )
-            for gpu_key, num_gpus in keys
-        ]
-        fitted = [outcome.value for outcome in run_fanout(tasks, jobs=jobs)]
-    else:
-        fitted = [
-            fit_comm_group(
-                key,
-                [o.num_parameters for o in grouped[key]],
-                [o.overhead_us for o in grouped[key]],
-            )
-            for key in keys
-        ]
     models: Dict[Tuple[str, int], RegressionModel] = {}
     r2: Dict[Tuple[str, int], float] = {}
-    for key, model in zip(keys, fitted):
-        models[key] = model
-        r2[key] = model.r2
+    for key, group in grouped.items():
+        if len(group) < 3:
+            raise ModelingError(
+                f"need >= 3 CNNs to fit the communication model for {key}, "
+                f"got {len(group)}"
+            )
+        x = np.asarray([[o.num_parameters / 1e6] for o in group])
+        y = np.asarray([o.overhead_us for o in group])
+        models[key] = fit_regression(x, y, ("mparams",), allow_quadratic=False)
+        r2[key] = models[key].r2
     return CommunicationModel(models=models, r2=r2)

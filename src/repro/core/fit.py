@@ -111,7 +111,6 @@ def fit_ceer(
     strict_unseen: bool = False,
     seed_context: str = "",
     placement: str = "single-host",
-    jobs: Optional[int] = None,
     backend: str = "per_gpu",
 ) -> FittedCeer:
     """Fit Ceer from scratch (or from pre-collected ``train_profiles``).
@@ -134,10 +133,6 @@ def fit_ceer(
             ``"single-host"`` (the paper's setting) or ``"multi-host"``.
             An estimator is placement-specific (Section VI): retrain to
             predict for a different topology.
-        jobs: fan the per-(GPU, op type) regressions, per-(model, GPU)
-            communication measurements, and per-(GPU, k) communication
-            fits out to this many worker processes (None = serial). The
-            fitted estimator is identical either way.
         backend: how heavy-op models are fitted — ``"per_gpu"`` (the
             paper's one regression per (GPU, op type)) or ``"transfer"``
             (one pooled fit per op type on size x device features, able
@@ -161,7 +156,7 @@ def fit_ceer(
         with span("fit.compute_models"):
             compute_models = fit_compute_models(
                 train_profiles, classification, strict_unseen=strict_unseen,
-                jobs=jobs, backend=backend,
+                backend=backend,
             )
         with span("fit.comm_model"):
             if comm_observations is None:
@@ -169,9 +164,9 @@ def fit_ceer(
                     list(train_models), list(gpu_keys), gpu_counts,
                     n_iterations=min(n_iterations, COMM_MAX_ITERATIONS),
                     batch_size=batch_size,
-                    seed_context=seed_context, placement=placement, jobs=jobs,
+                    seed_context=seed_context, placement=placement,
                 )
-            comm_model = fit_comm_model(comm_observations, jobs=jobs)
+            comm_model = fit_comm_model(comm_observations)
     estimator = CeerEstimator(compute_models, comm_model)
     if compute_models.heavy_models:
         fitted_gpu_keys = tuple(sorted({g for g, _ in compute_models.heavy_models}))

@@ -163,9 +163,8 @@ def fit_heavy_regression(
 ) -> RegressionModel:
     """Fit one heavy-op regression from raw feature rows / mean times.
 
-    The single fitting routine behind both the serial loop below and the
-    parallel :class:`~repro.parallel.plan.RegressionFitTask` — one code
-    path, so a fan-out fit is bit-identical to a serial one.
+    Shared by :class:`PerGpuBackend` and the transfer backend's
+    leave-one-GPU-out baseline, so both fit a cell the same way.
     """
     x = np.asarray([list(row) for row in rows], dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -204,7 +203,6 @@ class OpModelBackend:
         train_profiles: ProfileDataset,
         classification: OpClassification,
         allow_quadratic: bool = True,
-        jobs: Optional[int] = None,
     ) -> BackendFit:
         raise NotImplementedError
 
@@ -219,53 +217,30 @@ class PerGpuBackend(OpModelBackend):
         train_profiles: ProfileDataset,
         classification: OpClassification,
         allow_quadratic: bool = True,
-        jobs: Optional[int] = None,
     ) -> BackendFit:
         heavy_models: Dict[Tuple[str, str], HeavyOpModel] = {}
         train_r2: Dict[Tuple[str, str], float] = {}
+        fallbacks: List[Tuple[str, str]] = []
         gpu_records = train_profiles.gpu_records()
-        cells: List[Tuple[str, str, Tuple[Tuple[float, ...], ...], Tuple[float, ...]]] = []
         for gpu_key in gpu_records.gpu_keys():
             per_gpu = gpu_records.for_gpu(gpu_key)
             for op_type in classification.heavy:
                 subset = per_gpu.for_op_type(op_type)
                 if not subset:
                     continue  # never seen on this GPU; predict_op raises later
-                cells.append((
-                    gpu_key, op_type,
-                    tuple(tuple(r.features) for r in subset),
-                    tuple(r.mean_us for r in subset),
-                ))
-        if jobs is not None and jobs != 1 and len(cells) > 1:
-            from repro.parallel import RegressionFitTask, run_fanout
-
-            tasks = [
-                RegressionFitTask(
-                    gpu_key=gpu_key, op_type=op_type, rows=rows, targets=targets,
-                    schema=feature_schema(op_type), allow_quadratic=allow_quadratic,
+                schema = feature_schema(op_type)
+                regression = fit_heavy_regression(
+                    [r.features for r in subset], [r.mean_us for r in subset],
+                    schema, allow_quadratic,
                 )
-                for gpu_key, op_type, rows, targets in cells
-            ]
-            regressions = [outcome.value for outcome in run_fanout(tasks, jobs=jobs)]
-        else:
-            regressions = [
-                fit_heavy_regression(
-                    rows, targets, feature_schema(op_type), allow_quadratic
-                )
-                for _, op_type, rows, targets in cells
-            ]
-        for (gpu_key, op_type, _, _), regression in zip(cells, regressions):
-            heavy_models[(gpu_key, op_type)] = HeavyOpModel(gpu_key, op_type, regression)
-            train_r2[(gpu_key, op_type)] = regression.r2
-        fallbacks = tuple(sorted(
-            (gpu_key, op_type)
-            for gpu_key, op_type, rows, _ in cells
-            if len(rows) < len(feature_schema(op_type)) + 2
-        ))
+                heavy_models[(gpu_key, op_type)] = HeavyOpModel(gpu_key, op_type, regression)
+                train_r2[(gpu_key, op_type)] = regression.r2
+                if len(subset) < len(schema) + 2:
+                    fallbacks.append((gpu_key, op_type))
         return BackendFit(
             heavy_models=heavy_models,
             train_r2=train_r2,
-            proportional_fallbacks=fallbacks,
+            proportional_fallbacks=tuple(sorted(fallbacks)),
         )
 
 
@@ -279,13 +254,12 @@ class TransferBackend(OpModelBackend):
         train_profiles: ProfileDataset,
         classification: OpClassification,
         allow_quadratic: bool = True,
-        jobs: Optional[int] = None,
     ) -> BackendFit:
         from repro.core.transfer import fit_transfer_models
 
         transfer = fit_transfer_models(
             train_profiles, classification,
-            allow_quadratic=allow_quadratic, jobs=jobs,
+            allow_quadratic=allow_quadratic,
         )
         fallbacks = tuple(
             ("pooled", op_type)
@@ -330,7 +304,6 @@ def fit_compute_models(
     allow_quadratic: bool = True,
     strict_unseen: bool = False,
     light_estimator: str = "median",
-    jobs: Optional[int] = None,
     backend: Union[str, OpModelBackend] = "per_gpu",
 ) -> ComputeTimeModels:
     """Fit every ``t_GPU,op`` model from training-set profiles.
@@ -346,9 +319,6 @@ def fit_compute_models(
     ``"median"`` (the paper's choice, robust to outliers) or ``"mean"``
     (the alternative the paper rejects — exposed for the ablation that
     justifies the choice).
-
-    ``jobs`` fans the per-cell regressions out to worker processes
-    (None = serial); results are identical either way.
     """
     if not train_profiles:
         raise ModelingError("cannot fit compute models from an empty profile set")
@@ -359,7 +329,7 @@ def fit_compute_models(
     impl = resolve_backend(backend)
     fit = impl.fit_heavy(
         train_profiles, classification,
-        allow_quadratic=allow_quadratic, jobs=jobs,
+        allow_quadratic=allow_quadratic,
     )
     if fit.proportional_fallbacks:
         from repro.obs.metrics import default_registry

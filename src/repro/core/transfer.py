@@ -68,7 +68,7 @@ from repro.core.regression import (
 #: the V100 maps to d = (1, 1), slower devices to larger components.
 REFERENCE_TRANSFER_GPU = "V100"
 
-#: Type alias for one pooled training cell shipped to a worker process:
+#: Type alias for one pooled training cell:
 #: (op_type, feature rows, mean times, per-row device features).
 TransferCell = Tuple[
     str,
@@ -76,9 +76,6 @@ TransferCell = Tuple[
     Tuple[float, ...],
     Tuple[Tuple[float, float], ...],
 ]
-
-#: One holdout evaluation cell: (op_type, feature rows, mean times).
-EvalCell = Tuple[str, Tuple[Tuple[float, ...], ...], Tuple[float, ...]]
 
 
 def device_features(spec: GpuSpec, reference: GpuSpec) -> Tuple[float, float]:
@@ -265,10 +262,7 @@ def fit_transfer_op(
     Linear vs quadratic size terms are selected by adjusted R² with the
     same preference margin as the per-GPU path; the quadratic variant is
     attempted only when the pooled sample comfortably overdetermines its
-    ``6 * n_features + 3`` parameters. The single fitting routine behind
-    both the serial loop and the parallel
-    :class:`~repro.parallel.plan.TransferFitTask` — one code path, so a
-    fan-out fit is bit-identical to a serial one.
+    ``6 * n_features + 3`` parameters.
     """
     x = np.asarray([list(r) for r in rows], dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -327,8 +321,8 @@ def _pooled_cells(
 ) -> List[TransferCell]:
     """Pool every GPU's rows per heavy op type, in deterministic order.
 
-    Rows are ordered by (sorted GPU key, dataset order) so serial and
-    fanned-out fits see byte-identical inputs.
+    Rows are ordered by (sorted GPU key, dataset order), so a fit's
+    inputs do not depend on how the profiles were collected.
     """
     gpu_records = train_profiles.gpu_records()
     reference = gpu_spec(REFERENCE_TRANSFER_GPU)
@@ -356,39 +350,21 @@ def fit_transfer_models(
     train_profiles: ProfileDataset,
     classification: OpClassification,
     allow_quadratic: bool = True,
-    jobs: Optional[int] = None,
 ) -> TransferModelSet:
-    """Fit one pooled transfer model per heavy op type.
-
-    ``jobs`` fans the per-op-type fits out over worker processes (None =
-    serial); results are identical either way.
-    """
+    """Fit one pooled transfer model per heavy op type."""
     if not train_profiles:
         raise ModelingError("cannot fit transfer models from an empty profile set")
-    with span("transfer.fit", jobs=jobs or 1):
+    with span("transfer.fit"):
         cells = _pooled_cells(train_profiles, classification)
         if not cells:
             raise ModelingError("no heavy-op observations to fit transfer models")
-        if jobs is not None and jobs != 1 and len(cells) > 1:
-            from repro.parallel import TransferFitTask, run_fanout
-
-            tasks = [
-                TransferFitTask(
-                    op_type=op_type, rows=rows, targets=targets,
-                    device_rows=devices, schema=feature_schema(op_type),
-                    allow_quadratic=allow_quadratic,
-                )
-                for op_type, rows, targets, devices in cells
-            ]
-            fitted = [outcome.value for outcome in run_fanout(tasks, jobs=jobs)]
-        else:
-            fitted = [
-                fit_transfer_op(
-                    op_type, rows, targets, devices, feature_schema(op_type),
-                    allow_quadratic=allow_quadratic,
-                )
-                for op_type, rows, targets, devices in cells
-            ]
+        fitted = [
+            fit_transfer_op(
+                op_type, rows, targets, devices, feature_schema(op_type),
+                allow_quadratic=allow_quadratic,
+            )
+            for op_type, rows, targets, devices in cells
+        ]
         default_registry().counter("transfer.fits").inc(len(fitted))
         return TransferModelSet(
             models={model.op_type: model for model in fitted},
@@ -439,79 +415,16 @@ class LogoReport:
         }
 
 
-def logo_fold(
-    holdout_gpu: str,
-    holdout_device: Tuple[float, float],
-    train_cells: Tuple[TransferCell, ...],
-    eval_cells: Tuple[EvalCell, ...],
-    allow_quadratic: bool = True,
-) -> LogoFold:
-    """Score one holdout GPU: fit on the rest, evaluate on the holdout.
-
-    Pure function of its arguments — the single code path behind both
-    the serial loop and :class:`~repro.parallel.plan.TransferLogoTask`,
-    so a fanned-out LOGO report is byte-identical to a serial one.
-    """
-    fitted = {
-        op_type: fit_transfer_op(
-            op_type, rows, targets, devices, feature_schema(op_type),
-            allow_quadratic=allow_quadratic,
-        )
-        for op_type, rows, targets, devices in train_cells
-    }
-    observed: List[float] = []
-    predicted: List[float] = []
-    baseline: List[float] = []
-    n_op_types = 0
-    for op_type, rows, targets in eval_cells:
-        model = fitted.get(op_type)
-        if model is None:
-            continue
-        n_op_types += 1
-        x = np.asarray([list(r) for r in rows], dtype=float)
-        d0, d1 = holdout_device
-        e0, e1 = model.interaction_coef
-        phi = _expand(x, model.degree)
-        coef = np.asarray(
-            [c + d0 * a + d1 * b for c, a, b in zip(model.size_coef, e0, e1)]
-        )
-        intercept = (
-            model.intercept + d0 * model.device_coef[0] + d1 * model.device_coef[1]
-        )
-        pred = intercept + phi @ coef
-        if model.clip_max is not None:
-            pred = np.minimum(pred, model.clip_max)
-        pred = np.maximum(pred, 1.0)
-        own = fit_heavy_regression(
-            rows, targets, feature_schema(op_type), allow_quadratic
-        )
-        observed.extend(targets)
-        predicted.extend(float(v) for v in pred)
-        baseline.extend(float(v) for v in own.predict_batch(x))
-    if not observed:
-        raise ModelingError(
-            f"no evaluable heavy rows for holdout GPU {holdout_gpu!r}"
-        )
-    return LogoFold(
-        gpu_key=holdout_gpu,
-        n_rows=len(observed),
-        n_op_types=n_op_types,
-        transfer_mape=mean_absolute_percentage_error(observed, predicted),
-        per_gpu_mape=mean_absolute_percentage_error(observed, baseline),
-    )
-
-
 def logo_report(
     train_profiles: ProfileDataset,
     classification: OpClassification,
     allow_quadratic: bool = True,
-    jobs: Optional[int] = None,
 ) -> LogoReport:
     """Leave-one-GPU-out over every GPU in the profile set.
 
     Each fold fits the transfer model on the other GPUs' pooled rows and
-    scores MAPE on the holdout's heavy rows; ``jobs`` fans folds out over
-    worker processes with byte-identical results.
+    scores MAPE on the holdout's heavy rows, against the in-sample MAPE
+    of the paper's own per-(GPU, op) fits on the same rows.
     """
     gpu_records = train_profiles.gpu_records()
     gpu_keys = gpu_records.gpu_keys()
@@ -521,49 +434,63 @@ def logo_report(
             f"{len(gpu_keys)}"
         )
     reference = gpu_spec(REFERENCE_TRANSFER_GPU)
-    with span("transfer.logo", gpus=len(gpu_keys), jobs=jobs or 1):
-        fold_args: List[
-            Tuple[str, Tuple[float, float], Tuple[TransferCell, ...], Tuple[EvalCell, ...]]
-        ] = []
+    folds: List[LogoFold] = []
+    with span("transfer.logo", gpus=len(gpu_keys)):
         for holdout in gpu_keys:
-            train_cells = tuple(
-                _pooled_cells(
+            fitted = {
+                op_type: fit_transfer_op(
+                    op_type, rows, targets, devices, feature_schema(op_type),
+                    allow_quadratic=allow_quadratic,
+                )
+                for op_type, rows, targets, devices in _pooled_cells(
                     train_profiles.filter(lambda r, h=holdout: r.gpu_key != h),
                     classification,
                 )
-            )
+            }
             holdout_records = gpu_records.for_gpu(holdout)
-            eval_cells: List[EvalCell] = []
+            d0, d1 = device_features(gpu_spec(holdout), reference)
+            observed: List[float] = []
+            predicted: List[float] = []
+            baseline: List[float] = []
+            n_op_types = 0
             for op_type in sorted(classification.heavy):
+                model = fitted.get(op_type)
                 subset = holdout_records.for_op_type(op_type)
-                if subset:
-                    eval_cells.append((
-                        op_type,
-                        tuple(tuple(r.features) for r in subset),
-                        tuple(r.mean_us for r in subset),
-                    ))
-            fold_args.append((
-                holdout,
-                device_features(gpu_spec(holdout), reference),
-                train_cells,
-                tuple(eval_cells),
-            ))
-        if jobs is not None and jobs != 1 and len(fold_args) > 1:
-            from repro.parallel import TransferLogoTask, run_fanout
-
-            tasks = [
-                TransferLogoTask(
-                    holdout_gpu=holdout, holdout_device=device,
-                    train_cells=train_cells, eval_cells=eval_cells,
-                    allow_quadratic=allow_quadratic,
+                if model is None or not subset:
+                    continue
+                n_op_types += 1
+                targets = [r.mean_us for r in subset]
+                x = np.asarray([list(r.features) for r in subset], dtype=float)
+                e0, e1 = model.interaction_coef
+                phi = _expand(x, model.degree)
+                coef = np.asarray(
+                    [c + d0 * a + d1 * b for c, a, b in zip(model.size_coef, e0, e1)]
                 )
-                for holdout, device, train_cells, eval_cells in fold_args
-            ]
-            folds = tuple(outcome.value for outcome in run_fanout(tasks, jobs=jobs))
-        else:
-            folds = tuple(
-                logo_fold(holdout, device, train_cells, eval_cells, allow_quadratic)
-                for holdout, device, train_cells, eval_cells in fold_args
-            )
+                intercept = (
+                    model.intercept + d0 * model.device_coef[0]
+                    + d1 * model.device_coef[1]
+                )
+                pred = intercept + phi @ coef
+                if model.clip_max is not None:
+                    pred = np.minimum(pred, model.clip_max)
+                pred = np.maximum(pred, 1.0)
+                own = fit_heavy_regression(
+                    [r.features for r in subset], targets,
+                    feature_schema(op_type), allow_quadratic,
+                )
+                observed.extend(targets)
+                predicted.extend(float(v) for v in pred)
+                baseline.extend(float(v) for v in own.predict_batch(x))
+            if not observed:
+                raise ModelingError(
+                    f"no evaluable heavy rows for holdout GPU {holdout!r}"
+                )
+            folds.append(LogoFold(
+                gpu_key=holdout,
+                n_rows=len(observed),
+                n_op_types=n_op_types,
+                transfer_mape=mean_absolute_percentage_error(observed, predicted),
+                per_gpu_mape=mean_absolute_percentage_error(observed, baseline),
+            ))
         default_registry().counter("transfer.folds").inc(len(folds))
-        return LogoReport(folds=folds)
+        return LogoReport(folds=tuple(folds))

@@ -71,22 +71,6 @@ class UnseenOperationError(ModelingError):
         )
 
 
-class FanoutError(ReproError):
-    """A parallel fan-out task failed after exhausting its retries.
-
-    Carries the failed work units as structured ``(task_id, error)`` pairs
-    so callers (and CI logs) see *which* (model, GPU) cell or fit unit
-    died, instead of a hung pool or an anonymous ``BrokenProcessPool``.
-    """
-
-    def __init__(self, failures: "tuple") -> None:
-        self.failures = tuple(failures)
-        detail = "; ".join(f"{task_id}: {error}" for task_id, error in self.failures)
-        super().__init__(
-            f"{len(self.failures)} fan-out task(s) failed after retry: {detail}"
-        )
-
-
 class RecommendationError(ReproError):
     """No instance satisfies the requested objective/constraints."""
 

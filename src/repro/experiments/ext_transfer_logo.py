@@ -59,18 +59,11 @@ class TransferLogoResult:
 @traced("experiments.ext.transfer_logo")
 def run_transfer_logo(
     n_iterations: int = CANONICAL_ITERATIONS,
-    jobs: Optional[int] = None,
     workspace: Optional[Workspace] = None,
     allow_quadratic: bool = True,
 ) -> TransferLogoResult:
-    """Score every leave-one-GPU-out fold of the transfer backend.
-
-    ``jobs`` fans the folds out over worker processes; the report is
-    byte-identical at any job count.
-    """
+    """Score every leave-one-GPU-out fold of the transfer backend."""
     profiles = training_profiles(n_iterations, workspace=workspace)
     classification = classify_operations(profiles)
-    report = logo_report(
-        profiles, classification, allow_quadratic=allow_quadratic, jobs=jobs
-    )
+    report = logo_report(profiles, classification, allow_quadratic=allow_quadratic)
     return TransferLogoResult(report=report)

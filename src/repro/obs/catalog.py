@@ -62,8 +62,6 @@ SPAN_CATALOG: Mapping[str, str] = {
     "fit.ceer": "full offline fit (profiles -> estimator)",
     "fit.compute_models": "per-(GPU, op type) regression fits",
     "fit.comm_model": "communication-overhead model fit",
-    "parallel.fanout": "one run_fanout dispatch over N workers",
-    "parallel.task": "one fan-out task attempt",
     "profile.run": "one (model, GPU) profiling cell",
     "profile.sweep": "a profiling sweep over (models x GPUs)",
     "recommend.sweep": "recommender candidate sweep",
@@ -92,8 +90,6 @@ METRIC_CATALOG: Mapping[str, str] = {
     "check.files": "files analysed per staticcheck run {source=analyzed|cache}",
     "check.findings": "findings emitted per staticcheck run",
     "fit.proportional_fallbacks": "heavy-op cells that fell back to a proportional fit",
-    "parallel.task_s": "cumulative fan-out task wall-clock seconds",
-    "parallel.tasks": "fan-out task outcomes {outcome=ok|retried|failed}",
     "profiling.records": "profile records produced",
     "profiling.runs": "profiling cells run {gpu=...}",
     "serve.cache": "response LRU lookups {outcome=hit|miss}",

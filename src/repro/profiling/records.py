@@ -3,18 +3,15 @@
 A :class:`ProfileRecord` is one profiled operation instance — op identity,
 static size features, and compute-time statistics over N iterations. A
 :class:`ProfileDataset` is an immutable collection with the grouping and
-filtering operations the modeling pipeline needs, plus JSON round-tripping
-so experiment drivers can cache profiles on disk.
+filtering operations the modeling pipeline needs. The ``profile`` artifact
+kind (:mod:`repro.artifacts.kinds`) stores datasets on disk.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from repro.errors import ProfilingError
 from repro.sim.trace import OpTiming
 
 
@@ -132,22 +129,6 @@ class ProfileDataset:
         for r in self._records:
             sums[r.op_type] = sums.get(r.op_type, 0.0) + r.mean_us
         return sums
-
-    # -- (de)serialisation --------------------------------------------------------
-    def to_json(self, path: Path) -> None:
-        """Write the dataset to a JSON file (for experiment caching)."""
-        payload = [asdict(r) for r in self._records]
-        Path(path).write_text(json.dumps(payload))
-
-    @classmethod
-    def from_json(cls, path: Path) -> "ProfileDataset":
-        raw = json.loads(Path(path).read_text())
-        if not isinstance(raw, list):
-            raise ProfilingError(f"profile cache {path} is not a JSON list")
-        return cls(
-            ProfileRecord(**{**item, "features": tuple(item["features"])})
-            for item in raw
-        )
 
     @classmethod
     def concat(cls, datasets: Sequence["ProfileDataset"]) -> "ProfileDataset":

@@ -3,8 +3,8 @@
 Token-level lints (unit suffix discipline, mixed-unit arithmetic, bare
 conversion literals, artifact routing, determinism), a semantic
 graph-contract checker, and the :mod:`repro.staticcheck.astcheck`
-AST/dataflow engine (tensor-axis contracts, fork/pickle safety,
-fingerprint purity, observability contracts) — all driven by ``repro
+AST/dataflow engine (tensor-axis contracts, fingerprint purity,
+observability contracts) — all driven by ``repro
 check`` and enforced in CI. See DESIGN.md's "Static
 analysis" and "AST analysis" sections for the rule catalogue, the
 annotation conventions, and the baseline workflow.

@@ -1,15 +1,13 @@
 """AST/dataflow analysis engine behind ``repro check``.
 
-Four rule families share one :class:`~repro.staticcheck.astcheck.analysis.
+Three rule families share one :class:`~repro.staticcheck.astcheck.analysis.
 ModuleAnalysis` per file (tokenized comments, axis annotations, function
-tables, provenance dataflow):
+tables):
 
 * :mod:`~repro.staticcheck.astcheck.axes` — named-axis contracts for the
   sweep tensors (``# axes: (P, G, K, B)``) and NaN-mask propagation;
-* :mod:`~repro.staticcheck.astcheck.forksafe` — FanoutTask specs must be
-  frozen, picklable, lambda-free; no import-time store/lock state;
 * :mod:`~repro.staticcheck.astcheck.purity` — spec builders feeding
-  artifact fingerprints must not read clocks, env, or parallelism knobs;
+  artifact fingerprints must not read clocks, env, or the CPU count;
 * :mod:`~repro.staticcheck.astcheck.obscontract` — span/counter names
   registered in :mod:`repro.obs.catalog`; no instrumentation inside
   ``# obs: warm`` functions.
@@ -28,7 +26,6 @@ from repro.staticcheck.astcheck.analysis import (
     FunctionInfo,
     ModuleAnalysis,
     parse_axis_comment,
-    tainted_names,
 )
 from repro.staticcheck.astcheck.axes import (
     RULE_AXIS_BROADCAST,
@@ -36,7 +33,6 @@ from repro.staticcheck.astcheck.axes import (
     RULE_NAN_MASK,
     check_axes,
 )
-from repro.staticcheck.astcheck.forksafe import RULE_FORK, check_fork_safety
 from repro.staticcheck.astcheck.obscontract import (
     RULE_OBS_NAME,
     RULE_OBS_WARM,
@@ -52,11 +48,9 @@ __all__ = [
     "AST_RULE_FAMILIES",
     "check_axes",
     "check_fingerprint_purity",
-    "check_fork_safety",
     "check_obs_contracts",
     "parse_axis_comment",
     "run_ast_passes",
-    "tainted_names",
 ]
 
 _Pass = Callable[[ModuleAnalysis], List[Finding]]
@@ -66,7 +60,6 @@ AST_RULE_FAMILIES: Mapping[str, str] = {
     RULE_AXIS_DROP: "axes",
     RULE_AXIS_BROADCAST: "axes",
     RULE_NAN_MASK: "axes",
-    RULE_FORK: "fork",
     RULE_PURITY: "fingerprint",
     RULE_OBS_NAME: "obs",
     RULE_OBS_WARM: "obs",
@@ -74,7 +67,6 @@ AST_RULE_FAMILIES: Mapping[str, str] = {
 
 _PASSES: Tuple[_Pass, ...] = (
     check_axes,
-    check_fork_safety,
     check_fingerprint_purity,
     check_obs_contracts,
 )
@@ -83,7 +75,6 @@ _PASSES: Tuple[_Pass, ...] = (
 #: the caller's rule selection excludes a whole family.
 _PASS_RULES: Mapping[_Pass, FrozenSet[str]] = {
     check_axes: frozenset({RULE_AXIS_DROP, RULE_AXIS_BROADCAST, RULE_NAN_MASK}),
-    check_fork_safety: frozenset({RULE_FORK}),
     check_fingerprint_purity: frozenset({RULE_PURITY}),
     check_obs_contracts: frozenset({RULE_OBS_NAME, RULE_OBS_WARM}),
 }

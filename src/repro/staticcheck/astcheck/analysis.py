@@ -11,16 +11,11 @@ exactly once no matter how many rules run. It provides:
   comments attached to assignments and dataclass fields, parsed into
   :class:`AxisSpec` values (the tensor-axis rules' ground truth);
 * **function tables** — every function/method with its qualified name,
-  parameter list, and marker comments (``# obs: warm``);
-* **a light intraprocedural dataflow pass** — :func:`tainted_names`
-  tracks which local names derive from a set of seed names through
-  straight-line assignments (variable provenance, used by the
-  fingerprint-purity rule to follow ``jobs`` into a spec dict and by the
-  axis rules to follow arrays through renames).
+  parameter list, and marker comments (``# obs: warm``).
 
 Everything here is deliberately *per-module*: analyses never follow
 imports, which keeps a file's findings a pure function of its own bytes —
-the property the content-hash analysis cache and the parallel fan-out
+the property the content-hash analysis cache and ``repro check --jobs``
 both rely on.
 """
 
@@ -30,7 +25,7 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
@@ -39,7 +34,6 @@ __all__ = [
     "ModuleAnalysis",
     "iter_statements",
     "parse_axis_comment",
-    "tainted_names",
 ]
 
 #: ``# axes: (P, G, K, B)`` with an optional trailing ``nan`` marker
@@ -121,44 +115,6 @@ def iter_statements(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
             yield from iter_statements(getattr(stmt, block, []) or [])
         for handler in getattr(stmt, "handlers", []) or []:
             yield from iter_statements(handler.body)
-
-
-def tainted_names(
-    body: Sequence[ast.stmt], seeds: Set[str]
-) -> Set[str]:
-    """Forward provenance: names whose value derives from a seed name.
-
-    A single in-order pass over straight-line assignments: any ``Name``
-    target whose right-hand side *loads* a tainted name becomes tainted
-    (``j = jobs``, ``j2 = j + 1``). Augmented assignments taint their
-    target the same way. This deliberately over-approximates (a branch
-    that conditionally overwrites with a clean value stays tainted) —
-    for a lint, a rare extra finding beats a silent miss.
-    """
-    tainted = set(seeds)
-    for stmt in iter_statements(body):
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        value: Optional[ast.expr] = None
-        targets: List[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            value, targets = stmt.value, stmt.targets
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            value, targets = stmt.value, [stmt.target]
-        elif isinstance(stmt, ast.AugAssign):
-            value, targets = stmt.value, [stmt.target]
-        if value is None:
-            continue
-        loads = {
-            node.id for node in ast.walk(value)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-        }
-        if loads & tainted:
-            for target in targets:
-                for node in ast.walk(target):
-                    if isinstance(node, ast.Name):
-                        tainted.add(node.id)
-    return tainted
 
 
 def _extract_comments(source: str) -> Dict[int, Tuple[str, bool]]:

@@ -2,13 +2,10 @@
 
 Artifact keys are SHA-256 digests over *configuration specs*
 (:mod:`repro.artifacts.fingerprint`). The whole content-addressing story
-— CI cache keys, cross-process compute-once, ``--jobs 8`` byte-identity
-— rests on one invariant: a spec is a pure function of the configuration.
-A wall-clock read, an environment variable, ``os.cpu_count()``, or a
-``jobs`` value leaking into a spec re-keys the artifact per run, per
-machine, or per parallelism level, which silently defeats every cache
-(PR 5 enforced "jobs never in a spec" by convention; this rule enforces
-it by analysis).
+— CI cache keys, cross-process compute-once — rests on one invariant: a
+spec is a pure function of the configuration. A wall-clock read, an
+environment variable or ``os.cpu_count()`` leaking into a spec re-keys
+the artifact per run or per machine, which silently defeats every cache.
 
 A function is a **spec builder** when it passes a locally-constructed
 dict (a dict literal assigned in the function, or built via
@@ -25,9 +22,7 @@ spec builder this pass flags:
 * environment reads (``os.environ[...]`` / ``os.environ.get`` /
   ``os.getenv``) whose key is not in the resolution allowlist
   (``REPRO_WORKSPACE`` / ``REPRO_TRACE`` / ``REPRO_METRICS`` — the
-  documented path-resolution variables, which never enter a spec);
-* any value derived from a ``jobs`` parameter (tracked through local
-  assignments by the provenance pass) flowing into the spec dict.
+  documented path-resolution variables, which never enter a spec).
 
 Functions that merely *receive* a spec (the store itself) are not
 builders and are exempt — their clocks are latency accounting, not key
@@ -43,7 +38,6 @@ from repro.staticcheck.astcheck.analysis import (
     FunctionInfo,
     ModuleAnalysis,
     iter_statements,
-    tainted_names,
 )
 from repro.staticcheck.findings import Finding
 
@@ -63,9 +57,6 @@ _DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
 #: Environment variables that only resolve *paths* and are documented to
 #: never participate in a fingerprint.
 ENV_ALLOWLIST = frozenset({"REPRO_WORKSPACE", "REPRO_TRACE", "REPRO_METRICS"})
-
-#: Parameter names that encode parallelism, never configuration.
-_PARALLELISM_PARAMS = frozenset({"jobs", "n_jobs", "num_workers", "max_workers"})
 
 
 def _spec_argument(node: ast.Call) -> Optional[ast.expr]:
@@ -107,54 +98,6 @@ def _local_dict_names(body: Sequence[ast.stmt]) -> Set[str]:
                 if isinstance(target, ast.Name):
                     names.add(target.id)
     return names
-
-
-def _spec_expressions(
-    info: FunctionInfo, local_dicts: Set[str]
-) -> List[ast.expr]:
-    """Expressions whose values become key material for this function.
-
-    The dict literal (or the assignments building the named dict) passed
-    as a spec argument — only these carry the purity obligation for the
-    ``jobs`` check; ambient reads are checked function-wide.
-    """
-    spec_names: Set[str] = set()
-    exprs: List[ast.expr] = []
-    for node in ast.walk(info.node):
-        if isinstance(node, ast.Call):
-            spec = _spec_argument(node)
-            if spec is None:
-                continue
-            if isinstance(spec, (ast.Dict, ast.DictComp)):
-                exprs.append(spec)
-            elif isinstance(spec, ast.Name) and spec.id in local_dicts:
-                spec_names.add(spec.id)
-    if "spec" in info.name.lower().split("_"):
-        for stmt in iter_statements(info.node.body):
-            if isinstance(stmt, ast.Return) and stmt.value is not None:
-                if isinstance(stmt.value, (ast.Dict, ast.DictComp)):
-                    exprs.append(stmt.value)
-                elif isinstance(stmt.value, ast.Name) \
-                        and stmt.value.id in local_dicts:
-                    spec_names.add(stmt.value.id)
-    if spec_names:
-        for stmt in iter_statements(info.node.body):
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name) and target.id in spec_names:
-                        exprs.append(stmt.value)
-                    elif isinstance(target, ast.Subscript) and isinstance(
-                        target.value, ast.Name
-                    ) and target.value.id in spec_names:
-                        exprs.append(stmt.value)
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                if isinstance(stmt.target, ast.Name) \
-                        and stmt.target.id in spec_names:
-                    exprs.append(stmt.value)
-    return exprs
 
 
 def _is_spec_builder(info: FunctionInfo, local_dicts: Set[str]) -> bool:
@@ -229,8 +172,9 @@ class _PurityScan:
                             f"spec builder {self.info.qualname} reads "
                             f"{base.id}.cpu_count() — machine shape must "
                             f"never feed a fingerprint",
-                            fix_hint="parallelism belongs in run_fanout's "
-                                     "jobs argument, never in a spec",
+                            fix_hint="pass machine-dependent values in "
+                                     "explicitly, or move them out of the "
+                                     "spec builder",
                         )
             if isinstance(node, ast.Call):
                 self._check_env_call(node)
@@ -275,27 +219,6 @@ class _PurityScan:
                      "in as an argument",
         )
 
-    def scan_jobs_flow(self, spec_exprs: List[ast.expr]) -> None:
-        """Parallelism parameters must never flow into the spec dict."""
-        seeds = {p for p in self.info.params if p in _PARALLELISM_PARAMS}
-        if not seeds:
-            return
-        tainted = tainted_names(self.info.node.body, seeds)
-        for expr in spec_exprs:
-            for node in ast.walk(expr):
-                if isinstance(node, ast.Name) \
-                        and isinstance(node.ctx, ast.Load) \
-                        and node.id in tainted:
-                    self._flag(
-                        node, node.id,
-                        f"{node.id!r} (derived from a parallelism "
-                        f"parameter) flows into the artifact spec of "
-                        f"{self.info.qualname} — jobs never belong in a "
-                        f"fingerprint",
-                        fix_hint="keep jobs out of the spec; the artifact "
-                                 "bytes are identical at any job count",
-                    )
-
 
 def check_fingerprint_purity(analysis: ModuleAnalysis) -> List[Finding]:
     """Flag impure spec builders in one module."""
@@ -306,5 +229,4 @@ def check_fingerprint_purity(analysis: ModuleAnalysis) -> List[Finding]:
             continue
         scan = _PurityScan(analysis, info, findings)
         scan.scan_ambient_reads()
-        scan.scan_jobs_flow(_spec_expressions(info, local_dicts))
     return findings

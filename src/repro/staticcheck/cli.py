@@ -80,8 +80,8 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="fan per-file analysis out over N worker "
-                             "processes (output is byte-identical to serial)")
+                        help="analyse files on N worker processes "
+                             "(output is byte-identical to serial)")
     parser.add_argument("--cache", type=Path, default=None, metavar="FILE",
                         help="content-hash analysis cache: reuse results for "
                              "unchanged files, write updates back")

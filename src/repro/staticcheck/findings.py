@@ -47,7 +47,7 @@ class Finding:
     message: str
     symbol: str = ""  #: offending identifier, when one exists
     severity: str = "error"
-    family: str = ""  #: rule family (``axes``/``fork``/``fingerprint``/...)
+    family: str = ""  #: rule family (``axes``/``fingerprint``/``obs``/...)
     fix_hint: str = ""  #: one-line suggested remediation
 
     @property

@@ -6,9 +6,9 @@ four things the individual passes do not:
 * how to turn paths into (source, AST) pairs and repo-relative names;
 * which passes run per file vs once per run (the semantic contract sweep);
 * how suppression layers stack (inline pragmas, then the baseline);
-* how per-file analysis scales out — files fan out over
-  :func:`repro.parallel.run_fanout` (each file's findings are a pure
-  function of its bytes, so results are order-merged and ``--jobs 8`` is
+* how per-file analysis scales out — ``--jobs N`` maps files over a
+  process pool (each file's findings are a pure function of its bytes,
+  and results come back in submission order, so ``--jobs 8`` is
   byte-identical to serial), with an optional on-disk cache keyed on
   content hashes so unchanged files skip analysis entirely (CI restores
   the cache across runs).
@@ -43,7 +43,6 @@ from repro.staticcheck.astcheck.axes import (
     RULE_AXIS_DROP,
     RULE_NAN_MASK,
 )
-from repro.staticcheck.astcheck.forksafe import RULE_FORK
 from repro.staticcheck.astcheck.obscontract import RULE_OBS_NAME, RULE_OBS_WARM
 from repro.staticcheck.astcheck.purity import RULE_PURITY
 from repro.staticcheck.baseline import Baseline
@@ -71,8 +70,7 @@ ALL_RULES = {
     RULE_AXIS_DROP: "reductions/indexing must respect # axes: annotations",
     RULE_AXIS_BROADCAST: "broadcasts must align named axes",
     RULE_NAN_MASK: "cost_usd consumers must mask NaN or use nan-aware ops",
-    RULE_FORK: "FanoutTask specs frozen + picklable; no import-time locks",
-    RULE_PURITY: "spec builders read no clocks/env/cpu_count/jobs",
+    RULE_PURITY: "spec builders read no clocks/env/cpu_count",
     RULE_OBS_NAME: "span/counter names registered in repro.obs.catalog",
     RULE_OBS_WARM: "no span/traced instrumentation inside # obs: warm paths",
     RULE_PARSE: "files must parse",
@@ -97,7 +95,7 @@ AST_PASSES: Tuple[Callable[[ast.AST, str], List[Finding]], ...] = (
 )
 
 #: Bump when any pass changes behaviour: invalidates analysis caches.
-ANALYSIS_VERSION = 3
+ANALYSIS_VERSION = 4
 
 CACHE_VERSION = 1
 
@@ -193,24 +191,21 @@ def relative_path(path: Path, root: Path) -> str:
         return path.as_posix()
 
 
-# -- per-file fan-out task ------------------------------------------------
+# -- per-file task --------------------------------------------------------
 
 @dataclass(frozen=True)
 class CheckFileTask:
-    """Analyse one file in a worker process.
+    """Analyse one file, in this process or a pool worker.
 
-    The spec carries only strings (fork-safe by this subsystem's own
-    fork-safety rule); the worker re-reads the file, so the parent never
-    ships source text across the fork.
+    The task carries only strings; the worker re-reads the file, so the
+    parent never ships source text to a worker.
     """
 
     path: str  #: absolute filesystem path
     rel: str  #: repo-relative posix path used in findings
 
-    def task_id(self) -> str:
-        return f"check:{self.rel}"
-
-    def run(self) -> Dict[str, object]:
+    def run(self) -> Tuple[List[Finding], int, bool]:
+        """(post-pragma findings, pragma-suppressed count, file readable)."""
         try:
             source = Path(self.path).read_text()
         except OSError as exc:
@@ -218,15 +213,10 @@ class CheckFileTask:
                 path=self.rel, line=1, col=0, rule=RULE_PARSE,
                 message=f"cannot read file: {exc}", family="parse",
             )
-            return {"findings": [finding.to_json()], "pragma_suppressed": 0,
-                    "readable": False}
+            return [finding], 0, False
         with span("check.file", file=self.rel):
             findings, suppressed = _analyse_source(source, self.rel)
-        return {
-            "findings": [f.to_json() for f in findings],
-            "pragma_suppressed": suppressed,
-            "readable": True,
-        }
+        return findings, suppressed, True
 
 
 # -- analysis cache -------------------------------------------------------
@@ -333,16 +323,20 @@ def _analyse_files(
     computed: Dict[str, Tuple[List[Finding], int]] = {}
     if pending:
         if jobs is not None and jobs > 1 and len(pending) > 1:
-            from repro.parallel import run_fanout
-            outcomes = run_fanout(pending, jobs=jobs)
-            payloads = [outcome.value for outcome in outcomes]
+            # Imported here: every ``repro`` command builds the check parser,
+            # and the pool's multiprocessing imports would cost each ~15 ms.
+            from concurrent.futures import ProcessPoolExecutor
+
+            # The platform's default start method (fork on Linux): the
+            # checker starts no threads, and spawned workers re-import every
+            # pass, which cost most of the gain on a 2-core host.
+            with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
+                payloads = list(pool.map(CheckFileTask.run, pending))
         else:
             payloads = [task.run() for task in pending]
-        for task, payload in zip(pending, payloads):
-            findings = [Finding.from_json(f) for f in payload["findings"]]
-            suppressed = int(payload["pragma_suppressed"])
+        for task, (findings, suppressed, readable) in zip(pending, payloads):
             computed[task.rel] = (findings, suppressed)
-            if cache is not None and payload.get("readable", True):
+            if cache is not None and readable:
                 try:
                     key = _content_key(task.rel, Path(task.path).read_bytes())
                 except OSError:
@@ -370,9 +364,8 @@ def run_checks(
 ) -> CheckReport:
     """Run every enabled pass over ``paths`` and aggregate a report.
 
-    ``jobs > 1`` fans per-file analysis out over
-    :func:`repro.parallel.run_fanout`; results are merged in sorted-path
-    order, so the report (and its JSON rendering) is byte-identical to a
+    ``jobs > 1`` maps per-file analysis over a process pool; results are
+    merged in sorted-path order, so the report (and its JSON rendering) is byte-identical to a
     serial run. ``cache`` short-circuits files whose content hash already
     has an entry.
     """

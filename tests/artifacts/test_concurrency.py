@@ -9,20 +9,36 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+from repro.artifacts import kinds
+from repro.artifacts.workspace import Workspace
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: Tiny configuration shared by every subprocess below.
 CONFIG = "(['inception_v1'], ['V100'], 5)"
 
+#: The artifact spec ``Workspace.profiles(*CONFIG)`` stores its dataset under.
+CONFIG_SPEC = {
+    "models": ["inception_v1"], "gpus": ["V100"],
+    "iterations": 5, "batch": 32, "seed": "",
+}
 
-def run_script(body: str, workspace: Path) -> str:
+
+def script_env(workspace: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)
     env["REPRO_WORKSPACE"] = str(workspace)
+    return env
+
+
+def run_script(body: str, workspace: Path) -> str:
+    env = script_env(workspace)
     result = subprocess.run(
         [sys.executable, "-c", body],
         capture_output=True, text=True, env=env, timeout=300,
@@ -145,9 +161,7 @@ value = ws.store.get_or_create(
 )
 print(value)
 """
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC)
-        env["REPRO_WORKSPACE"] = str(workspace)
+        env = script_env(workspace)
         procs = [
             subprocess.Popen(
                 [sys.executable, "-c", racer],
@@ -164,9 +178,6 @@ print(value)
 
         # No torn file: the single stored envelope parses and round-trips,
         # and neither lock nor temp files survived the race.
-        from repro.artifacts import kinds
-        from repro.artifacts.workspace import Workspace
-
         store = Workspace(workspace).store
         [info] = store.entries("figure")
         envelope = json.loads(info.path.read_text())
@@ -178,3 +189,78 @@ print(value)
             if p.suffix in (".lock", ".tmp")
         ]
         assert leftovers == []
+
+    def test_n_workers_racing_one_key_compute_exactly_once(self, tmp_path):
+        """Three processes profiling the same cell: the store lock elects
+        one computer, the others read its artifact, so their profile
+        misses sum to 1 and no lock or temp file is left behind."""
+        workspace = tmp_path / "race-ws"
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", PROFILE_SCRIPT],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True, env=script_env(workspace),
+            )
+            for _ in range(3)
+        ]
+        misses = []
+        for proc in procs:
+            stdout, stderr = proc.communicate(timeout=300)
+            assert proc.returncode == 0, stderr
+            misses.append(json.loads(stdout)["profile"]["misses"])
+        assert sum(misses) == 1, f"expected exactly one compute, got {misses}"
+        leftovers = [
+            p for p in workspace.rglob("*") if p.suffix in (".lock", ".tmp")
+        ]
+        assert leftovers == []
+
+
+class TestStaleLockBreaking:
+    def test_sigkilled_lock_holder_does_not_wedge_the_cell(self, tmp_path):
+        """A process SIGKILLed mid-compute leaves its lock file behind; a
+        later request for the same cell must break the stale lock (after
+        the staleness window) and compute, not block forever."""
+        workspace = tmp_path / "crash-ws"
+        holder_script = f"""
+import time
+from repro.artifacts import kinds
+from repro.artifacts.workspace import Workspace
+
+def compute():
+    print("HOLDING", flush=True)
+    time.sleep(600)
+
+Workspace().store.get_or_create(
+    kinds.PROFILE, {CONFIG_SPEC!r}, compute,
+    kinds.encode_profiles, kinds.decode_profiles,
+)
+"""
+        holder = subprocess.Popen(
+            [sys.executable, "-c", holder_script],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=script_env(workspace),
+        )
+        try:
+            # Wait until the child holds the lock (it prints from inside
+            # the locked compute), then kill it mid-compute.
+            line = holder.stdout.readline()
+            assert line.strip() == "HOLDING", holder.stderr.read()
+            holder.send_signal(signal.SIGKILL)
+            holder.wait(timeout=60)
+        finally:
+            if holder.poll() is None:  # pragma: no cover - cleanup path
+                holder.kill()
+
+        ws = Workspace(workspace)
+        key = ws.store.key_for(kinds.PROFILE, CONFIG_SPEC)
+        lock_path = ws.store._lock_path(kinds.PROFILE, key)
+        assert lock_path.exists(), "SIGKILLed holder should leave its lock"
+        # Age the lock past the staleness window (default 300 s) instead
+        # of sleeping through it.
+        stale_mtime = time.time() - (ws.store.lock_stale_s + 100)
+        os.utime(lock_path, (stale_mtime, stale_mtime))
+
+        dataset = ws.profiles(["inception_v1"], ["V100"], 5)
+        assert ws.store.counters["profile"].misses == 1  # broke it, computed
+        assert len(dataset) > 0
+        assert not lock_path.exists()

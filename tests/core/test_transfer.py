@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -138,28 +136,6 @@ def test_proportional_fallback_collapses_to_through_origin():
         model.interaction_coef[0][0] * d0, abs=0.0
     )
     assert all(c == 0.0 for c in collapsed.coef[1:])
-
-
-# ----------------------------------------------------------------------
-# fitting determinism
-# ----------------------------------------------------------------------
-
-def test_transfer_fit_jobs_byte_identical(transfer_profiles):
-    classification = classify_operations(transfer_profiles)
-    serial = fit_transfer_models(transfer_profiles, classification)
-    fanned = fit_transfer_models(transfer_profiles, classification, jobs=8)
-    assert serial.train_gpu_keys == fanned.train_gpu_keys
-    assert serial.models == fanned.models
-
-
-def test_logo_jobs_byte_identical(transfer_profiles):
-    classification = classify_operations(transfer_profiles)
-    serial = logo_report(transfer_profiles, classification)
-    fanned = logo_report(transfer_profiles, classification, jobs=8)
-    assert (
-        json.dumps(serial.to_dict(), sort_keys=True).encode("utf-8")
-        == json.dumps(fanned.to_dict(), sort_keys=True).encode("utf-8")
-    )
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Tests for ProfileRecord / ProfileDataset."""
 
+import json
+
 import pytest
 
-from repro.errors import ProfilingError
+from repro.artifacts.kinds import decode_profiles, encode_profiles
+from repro.errors import ArtifactError
 from repro.profiling.records import ProfileDataset, ProfileRecord
 
 
@@ -73,14 +76,12 @@ class TestQueries:
 
 
 class TestSerialisation:
-    def test_json_round_trip(self, dataset, tmp_path):
-        path = tmp_path / "profiles.json"
-        dataset.to_json(path)
-        restored = ProfileDataset.from_json(path)
-        assert restored.records == dataset.records
+    """The ``profile`` artifact codec round-trips a dataset through JSON."""
 
-    def test_from_json_rejects_non_list(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{}")
-        with pytest.raises(ProfilingError):
-            ProfileDataset.from_json(path)
+    def test_json_round_trip(self, dataset):
+        payload = json.loads(json.dumps(encode_profiles(dataset)))
+        assert decode_profiles(payload).records == dataset.records
+
+    def test_decode_rejects_non_list(self):
+        with pytest.raises(ArtifactError):
+            decode_profiles({})

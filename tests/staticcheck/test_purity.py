@@ -55,17 +55,6 @@ def test_cpu_count_in_named_spec_helper():
     assert "cpu_count" in findings[0].symbol
 
 
-def test_jobs_parameter_flowing_into_spec():
-    findings = purity(
-        "def profile(store, iterations, jobs):\n"
-        "    width = jobs * 2\n"
-        "    spec = {'iterations': iterations, 'width': width}\n"
-        "    return store.get_or_create('profile', spec)\n"
-    )
-    assert [f.rule for f in findings] == ["fingerprint-purity"]
-    assert "parallelism" in findings[0].message
-
-
 # -- false-positive controls --------------------------------------------
 
 def test_clock_outside_a_builder_is_fine():
@@ -96,16 +85,6 @@ def test_allowlisted_env_read_is_fine():
         "def key(store, model):\n"
         "    root = os.environ.get('REPRO_WORKSPACE', '.')\n"
         "    return store.key_for('fit', {'model': model, 'root': root})\n"
-    )
-    assert findings == []
-
-
-def test_jobs_used_outside_the_spec_is_fine():
-    findings = purity(
-        "def profile(store, iterations, jobs):\n"
-        "    spec = {'iterations': iterations}\n"
-        "    key = store.get_or_create('profile', spec)\n"
-        "    return run_fanout(tasks_for(key), jobs=jobs)\n"
     )
     assert findings == []
 

@@ -290,47 +290,6 @@ class TestWorkspaceFlag:
         assert counters["figure"]["hits_disk"] == 1
 
 
-class TestJobsFlag:
-    def test_fit_jobs_matches_serial_estimator_bytes(self, tmp_path):
-        """``fit --jobs 2`` must write the same estimator file, byte for
-        byte, as a serial fit — the CLI surface of the determinism
-        guarantee."""
-        serial_out = tmp_path / "serial.json"
-        code, _ = _run(
-            ["fit", "--iterations", "30", "--output", str(serial_out),
-             "--workspace", str(tmp_path / "ws-serial"),
-             "--no-warm-test-profiles"]
-        )
-        assert code == 0
-        parallel_out = tmp_path / "parallel.json"
-        code, _ = _run(
-            ["fit", "--iterations", "30", "--output", str(parallel_out),
-             "--workspace", str(tmp_path / "ws-parallel"),
-             "--no-warm-test-profiles", "--jobs", "2"]
-        )
-        assert code == 0
-        assert parallel_out.read_bytes() == serial_out.read_bytes()
-        # The fan-out left per-cell profile artifacts next to the combined
-        # dataset (serial fits store only the combined artifact).
-        cells = list((tmp_path / "ws-parallel" / "profile").glob("*.json"))
-        assert len(cells) > len(
-            list((tmp_path / "ws-serial" / "profile").glob("*.json"))
-        )
-
-    def test_figures_jobs_matches_serial_report(self, tmp_path):
-        argv = ["figures", "fig2", "fig5", "--iterations", "30"]
-        code, serial_text = _run(
-            argv + ["--workspace", str(tmp_path / "ws-serial")]
-        )
-        assert code == 0
-        code, parallel_text = _run(
-            argv + ["--workspace", str(tmp_path / "ws-parallel"),
-                    "--jobs", "2"]
-        )
-        assert code == 0
-        assert parallel_text == serial_text
-
-
 class TestCacheCommand:
     def test_empty_list(self, tmp_path):
         code, text = _run(["cache", "list", "--workspace", str(tmp_path / "ws")])

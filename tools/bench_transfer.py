@@ -74,10 +74,10 @@ def best_of(fn, repeats: int) -> float:
     return best
 
 
-def bench_logo(fitted, jobs) -> dict:
+def bench_logo(fitted) -> dict:
     """Leave-one-GPU-out accuracy of the pooled transfer fit."""
     classification = classify_operations(fitted.train_profiles)
-    report = logo_report(fitted.train_profiles, classification, jobs=jobs)
+    report = logo_report(fitted.train_profiles, classification)
     folds = {
         fold.gpu_key: {
             "transfer_mape": fold.transfer_mape,
@@ -164,12 +164,11 @@ def run(args: argparse.Namespace) -> dict:
             "model": args.model,
             "fit_iterations": args.iterations,
             "repeats": args.repeats,
-            "jobs": args.jobs,
             "python": platform.python_version(),
             "machine": platform.machine(),
         },
         "fit_seconds": fit_s,
-        "logo": bench_logo(fitted, args.jobs),
+        "logo": bench_logo(fitted),
         "spec_only": bench_spec_only(fitted, args.model, args.repeats),
     }
 
@@ -212,9 +211,6 @@ def main(argv=None) -> int:
                         help="profiling iterations for the fit")
     parser.add_argument("--repeats", type=int, default=5,
                         help="timing repeats (best-of)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="fan the LOGO folds out over this many worker "
-                             "processes (byte-identical to serial)")
     parser.add_argument("--max-overhead", type=float, default=3.0,
                         help="fail if the spec-only warm sweep is more than "
                              "this many times slower than the profiled one")

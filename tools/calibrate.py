@@ -23,62 +23,16 @@ from repro.models import TEST_MODELS, TRAIN_MODELS, build_model
 from repro.sim import comm_overhead_base_us, run_iterations
 from repro.workloads import IMAGENET_EPOCH, IMAGENET_6400, TrainingJob
 from repro.cloud import ON_DEMAND, MARKET_RATIO
-from repro.graph.ops import OpCategory, op_def
+from repro.graph.ops import op_def
 
 N = 60
 
 
-def warm_measurement_grid(ws, jobs):
-    """Pre-compute every ground-truth cell the report below reads.
-
-    Fans the (model, GPU, k, pricing) grid out to worker processes; each
-    cell lands in the workspace, so the serial reporting code that follows
-    sees only cache hits. Grid membership mirrors the measure() calls in
-    the report sections — keep the two in sync."""
-    from repro.parallel import MeasurementTask, run_fanout
-
-    gpus = ("V100", "K80", "T4", "M60")
-    tasks = []
-
-    def add(model, gpu_key, num_gpus, job, pricing=ON_DEMAND):
-        tasks.append(MeasurementTask(
-            model=model, gpu_key=gpu_key, num_gpus=num_gpus,
-            num_samples=job.dataset.num_samples, batch_size=job.batch_size,
-            epochs=job.epochs, n_iterations=N, seed_context="",
-            placement="single-host", pricing_name=pricing.name,
-            workspace_dir=str(ws.directory),
-        ))
-
-    job6 = TrainingJob(IMAGENET_6400, batch_size=32)
-    for g in gpus:
-        for k in (1, 2, 3, 4):
-            add("inception_v1", g, k, job6)                  # Fig6
-            add("resnet_101", g, k, IMAGENET_EPOCH)          # Fig10
-            add("inception_v3", g, k, IMAGENET_EPOCH)        # Fig11
-            add("inception_v3", g, k, IMAGENET_EPOCH, MARKET_RATIO)  # Fig12
-    for name in TEST_MODELS:
-        for g in gpus:
-            add(name, g, 4, IMAGENET_EPOCH)                  # Fig8
-        for g, k in (("K80", 3), ("M60", 3), ("T4", 3), ("V100", 1)):
-            add(name, g, k, IMAGENET_EPOCH)                  # Fig9
-    run_fanout(list(dict.fromkeys(tasks)), jobs=jobs)
-
-
 def main():
-    # The workspace (and the profile fan-out it feeds) is built here, not
-    # at module scope: forked workers must never inherit import-time store
-    # state (staticcheck fork-safety).
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="warm the profile sweep and measurement grid with "
-                             "N worker processes before reporting (results are "
-                             "identical; default: serial)")
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     ws = active_workspace()
-    profiles = ws.profiles(
-        list(TRAIN_MODELS), ["V100", "K80", "T4", "M60"], N, jobs=args.jobs
-    )
+    profiles = ws.profiles(list(TRAIN_MODELS), ["V100", "K80", "T4", "M60"], N)
 
     def measure(model, gpu_key, num_gpus, job, pricing=ON_DEMAND):
         """Workspace-cached ground truth at the calibration seed (training seed
@@ -87,9 +41,6 @@ def main():
         return ws.observed_training(
             model, gpu_key, num_gpus, job, N, seed_context="", pricing=pricing
         )
-
-    if args.jobs is not None:
-        warm_measurement_grid(ws, args.jobs)
 
     classification = classify_operations(profiles)
     heavy = classification.heavy

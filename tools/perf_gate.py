@@ -10,14 +10,6 @@ counts, and same-process speedup ratios (host speed cancels out), each
 with an absolute floor and/or a drift tripwire against the baseline.
 Absolute latencies are printed for information only.
 
-The parallel fan-out benchmark (``tools/bench_fanout.py`` /
-``BENCH_fanout.json``) is checked when ``--fanout-fresh`` is given.
-Fan-out speedup depends on the host's core count, so that check is
-core-aware: the byte-identity flag must always hold, the speedup floor
-(default 2x) is enforced only when the fresh report's machine has >= 4
-cores, and fresh-vs-baseline ratio comparison happens only when the two
-reports were measured on the same core count.
-
 The Eq. (2) benchmark (``tools/bench_sweep_catalog.py`` /
 ``BENCH_sweep_catalog.json``) is checked when ``--catalog-fresh`` is
 given: the warm batched/loop speedup ratio must stay above an absolute
@@ -56,12 +48,9 @@ latencies are informational.
 
 Usage (the CI ``perf`` job)::
 
-    PYTHONPATH=src python tools/bench_fanout.py --json fanout-fresh.json
     PYTHONPATH=src python tools/bench_sweep_catalog.py --json catalog-fresh.json
     PYTHONPATH=src python tools/bench_transfer.py --json transfer-fresh.json
-    python tools/perf_gate.py --fanout-baseline BENCH_fanout.json \
-        --fanout-fresh fanout-fresh.json \
-        --catalog-baseline BENCH_sweep_catalog.json \
+    python tools/perf_gate.py --catalog-baseline BENCH_sweep_catalog.json \
         --catalog-fresh catalog-fresh.json \
         --transfer-baseline BENCH_transfer.json \
         --transfer-fresh transfer-fresh.json
@@ -84,82 +73,6 @@ def _lookup(report: dict, path: Tuple[str, str]) -> float:
         raise SystemExit(f"malformed bench report: missing {section}.{field}"
                          f" ({exc})")
     return float(value)
-
-
-#: Core count below which the fan-out speedup floor is not enforced —
-#: a 1- or 2-core host cannot demonstrate a 2x process-parallel speedup.
-FANOUT_MIN_CORES = 4
-
-
-def compare_fanout(
-    baseline: dict, fresh: dict, tolerance: float, min_speedup: float
-) -> Tuple[List[str], List[str]]:
-    """Core-count-aware checks for the fan-out benchmark reports."""
-    lines: List[str] = []
-    failures: List[str] = []
-    fresh_cores = int(fresh["config"].get("cpu_count", 1))
-    speedup = _lookup(fresh, ("sweep", "speedup"))
-
-    identical = bool(fresh["sweep"].get("byte_identical"))
-    lines.append(
-        f"  {'fan-out byte identity':<28s} "
-        f"[{'ok' if identical else 'FAIL'}]"
-    )
-    if not identical:
-        failures.append(
-            "fan-out: parallel sweep artifacts are not byte-identical to "
-            "the serial sweep's — determinism contract broken"
-        )
-
-    if fresh_cores >= FANOUT_MIN_CORES:
-        verdict = "ok" if speedup >= min_speedup else "REGRESSION"
-        if speedup < min_speedup:
-            failures.append(
-                f"fan-out: sweep speedup {speedup:.2f}x is below the "
-                f"{min_speedup:.1f}x floor on a {fresh_cores}-core host"
-            )
-        lines.append(
-            f"  {'fan-out sweep speedup':<28s} fresh {speedup:10.2f}x   "
-            f"floor {min_speedup:.1f}x ({fresh_cores} cores)  [{verdict}]"
-        )
-    else:
-        lines.append(
-            f"  {'fan-out sweep speedup':<28s} fresh {speedup:10.2f}x   "
-            f"(floor waived: only {fresh_cores} core(s))"
-        )
-
-    baseline_cores = int(baseline["config"].get("cpu_count", 1))
-    base_speedup = _lookup(baseline, ("sweep", "speedup"))
-    if baseline_cores == fresh_cores and fresh_cores >= FANOUT_MIN_CORES:
-        # Below FANOUT_MIN_CORES the ratio hovers around 1.0 and its
-        # run-to-run noise exceeds any sensible tolerance, so sub-parallel
-        # hosts get the comparison as information, not as a gate.
-        change = (speedup - base_speedup) / base_speedup if base_speedup else float("inf")
-        verdict = "ok"
-        if change < -tolerance:
-            verdict = "REGRESSION"
-            failures.append(
-                f"fan-out: sweep speedup {speedup:.2f}x is {-change:.0%} "
-                f"below the committed {base_speedup:.2f}x at the same core "
-                f"count (tolerance {tolerance:.0%})"
-            )
-        elif change > tolerance:
-            verdict = "improved — consider refreshing the baseline"
-        lines.append(
-            f"  {'fan-out vs baseline':<28s} baseline {base_speedup:10.2f}x   "
-            f"fresh {speedup:10.2f}x   {change:+7.1%}  [{verdict}]"
-        )
-    elif baseline_cores != fresh_cores:
-        lines.append(
-            f"  {'fan-out vs baseline':<28s} skipped: baseline measured on "
-            f"{baseline_cores} core(s), fresh on {fresh_cores}"
-        )
-    else:
-        lines.append(
-            f"  {'fan-out vs baseline':<28s} baseline {base_speedup:10.2f}x   "
-            f"fresh {speedup:10.2f}x   (informational: {fresh_cores} core(s))"
-        )
-    return lines, failures
 
 
 #: Batched/loop disagreement above this is a correctness failure.
@@ -559,18 +472,6 @@ def compare_serve(
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tolerance", type=float, default=0.15,
-                        help="allowed fractional drop in the fan-out "
-                             "speedup (default 0.15 = 15%%)")
-    parser.add_argument("--fanout-baseline", type=Path,
-                        default=Path("BENCH_fanout.json"),
-                        help="committed fan-out benchmark report")
-    parser.add_argument("--fanout-fresh", type=Path, default=None,
-                        help="freshly generated fan-out report; enables the "
-                             "core-aware fan-out checks")
-    parser.add_argument("--fanout-min", type=float, default=2.0,
-                        help="minimum fan-out sweep speedup on hosts with "
-                             ">= 4 cores (default 2.0)")
     parser.add_argument("--catalog-baseline", type=Path,
                         default=Path("BENCH_sweep_catalog.json"),
                         help="committed catalog-sweep benchmark report")
@@ -579,9 +480,8 @@ def main(argv=None) -> int:
                              "enables the batched-sweep checks")
     parser.add_argument("--catalog-tolerance", type=float, default=0.5,
                         help="allowed fractional drop in the catalog warm "
-                             "and cold speedups vs their baseline (wider than "
-                             "--tolerance: the ~0.3 ms batched side makes "
-                             "the ratio noisy)")
+                             "and cold speedups vs their baseline (wide: the "
+                             "~0.3 ms batched side makes the ratio noisy)")
     parser.add_argument("--catalog-min", type=float, default=10.0,
                         help="minimum warm batched-vs-loop catalog sweep "
                              "speedup (default 10.0)")
@@ -621,19 +521,8 @@ def main(argv=None) -> int:
                              "their baseline (wide: millisecond-scale burst "
                              "walls make the ratios noisy)")
     args = parser.parse_args(argv)
-    if not 0 < args.tolerance < 1:
-        parser.error("--tolerance must be in (0, 1)")
 
     failures: List[str] = []
-    if args.fanout_fresh is not None:
-        fanout_baseline = json.loads(args.fanout_baseline.read_text())
-        fanout_fresh = json.loads(args.fanout_fresh.read_text())
-        fanout_lines, fanout_failures = compare_fanout(
-            fanout_baseline, fanout_fresh, args.tolerance, args.fanout_min
-        )
-        print(f"fan-out gate: {args.fanout_fresh} vs {args.fanout_baseline}")
-        print("\n".join(fanout_lines))
-        failures.extend(fanout_failures)
     if args.catalog_fresh is not None:
         catalog_baseline = json.loads(args.catalog_baseline.read_text())
         catalog_fresh = json.loads(args.catalog_fresh.read_text())
