@@ -22,7 +22,6 @@ from repro.core.baselines import (
     no_comm_variant,
 )
 from repro.hardware import GPU_KEYS
-from repro.models import TRAIN_MODELS
 from repro.workloads import IMAGENET
 
 ITERATIONS = 150
@@ -37,9 +36,7 @@ def main() -> None:
         "heavy-ops-only": heavy_only_variant(fitted.estimator),
         "no-communication": no_comm_variant(fitted.estimator),
         "layer-level": LayerLevelEstimator.fit(fitted.train_profiles),
-        "paleo-style": PaleoStyleEstimator.fit(
-            list(TRAIN_MODELS), list(GPU_KEYS), n_iterations=ITERATIONS
-        ),
+        "paleo-style": PaleoStyleEstimator.fit(fitted.train_profiles),
     }
 
     observed = {

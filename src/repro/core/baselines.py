@@ -20,7 +20,7 @@ The paper positions Ceer against (Sections I, V, VII):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -30,8 +30,8 @@ from repro.cloud.pricing import ON_DEMAND, PricingScheme
 from repro.errors import CatalogError, ModelingError
 from repro.graph.flops import graph_flops
 from repro.graph.graph import OpGraph
+from repro.hardware.gpus import gpu_spec
 from repro.models.zoo import build_model
-from repro.sim.executor import compute_us
 from repro.workloads.dataset import TrainingJob
 from repro.core.estimator import CeerEstimator, TrainingPrediction
 from repro.core.regression import RegressionModel, fit_regression
@@ -66,50 +66,58 @@ def no_comm_variant(estimator: CeerEstimator) -> CeerEstimator:
     )
 
 
+def profiled_iteration_us(train_profiles: "ProfileDataset") -> Dict[Tuple[str, str], float]:
+    """Per-iteration compute time of each (GPU, model) cell: GPU-op means, then CPU-op
+    means, each summed in record (= op) order by builtin ``sum``, as ``compute_us`` sums."""
+    means: Dict[Tuple[str, str], Tuple[List[float], List[float]]] = {}
+    for r in train_profiles:
+        means.setdefault((r.gpu_key, r.model), ([], []))[r.device == "CPU"].append(r.mean_us)
+    return {cell: sum(gpu) + sum(cpu) for cell, (gpu, cpu) in means.items()}
+
+
 @dataclass
 class PaleoStyleEstimator:
     """Per-GPU linear model: per-iteration time ~ total iteration FLOPs.
 
-    Fit on whole-model observations of the training CNNs; predicts from a
-    new CNN's static FLOP count. Ignores input sizes, op mix, light/CPU
-    ops, and communication — the limitations Section VII calls out.
+    Fit on the whole-model compute times in the training profile, so it
+    simulates nothing; predicts from a new CNN's static FLOP count.
+    Ignores input sizes, op mix, light/CPU ops, and communication — the
+    limitations Section VII calls out.
     """
 
     models: Dict[str, RegressionModel]
+    _gflops: Dict[Tuple[str, int], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
-    def fit(
-        cls,
-        train_models: Sequence[str],
-        gpu_keys: Sequence[str],
-        n_iterations: int = 200,
-        batch_size: int = 32,
-    ) -> "PaleoStyleEstimator":
-        fitted: Dict[str, RegressionModel] = {}
-        for gpu_key in gpu_keys:
-            rows, targets = [], []
-            for name in train_models:
-                graph = build_model(name, batch_size=batch_size)
-                rows.append([graph_flops(graph.operations) / 1e9])
-                targets.append(compute_us(graph, gpu_key, n_iterations))
-            fitted[gpu_key] = fit_regression(
-                np.asarray(rows), np.asarray(targets), ("gflops",),
-                allow_quadratic=False,
+    def fit(cls, train_profiles: "ProfileDataset", batch_size: int = 32) -> "PaleoStyleEstimator":
+        targets = profiled_iteration_us(train_profiles)
+        if not targets:
+            raise ModelingError("PALEO baseline needs a non-empty training profile")
+        estimator = cls(models={})
+        for gpu_key in dict.fromkeys(gpu for gpu, _ in targets):
+            models = [m for g, m in targets if g == gpu_key]
+            estimator.models[gpu_key] = fit_regression(
+                [[estimator.gflops(m, batch_size)] for m in models],
+                [targets[(gpu_key, m)] for m in models], ("gflops",), allow_quadratic=False,
             )
-        return cls(models=fitted)
+        return estimator
+
+    def gflops(self, model: Union[str, OpGraph], batch_size: int = 32) -> float:
+        """Iteration GFLOPs of a graph, or of a zoo model walked once per batch."""
+        if not isinstance(model, str):
+            return graph_flops(model.operations) / 1e9
+        if (model, batch_size) not in self._gflops:
+            graph = build_model(model, batch_size=batch_size)
+            self._gflops[(model, batch_size)] = graph_flops(graph.operations) / 1e9
+        return self._gflops[(model, batch_size)]
 
     def predict_iteration_us(self, model: Union[str, OpGraph], gpu_key: str,
                              num_gpus: int = 1, batch_size: int = 32) -> float:
-        graph = (
-            build_model(model, batch_size=batch_size)
-            if isinstance(model, str) else model
-        )
-        from repro.hardware.gpus import gpu_spec
-
         key = gpu_spec(gpu_key).key
         if key not in self.models:
             raise ModelingError(f"PALEO baseline was not fit for GPU {key!r}")
-        return self.models[key].predict_one([graph_flops(graph.operations) / 1e9])
+        return self.models[key].predict_one([self.gflops(model, batch_size)])
 
 
 @dataclass
@@ -148,7 +156,6 @@ class LayerLevelEstimator:
 
     def predict_iteration_us(self, model: Union[str, OpGraph], gpu_key: str,
                              num_gpus: int = 1, batch_size: int = 32) -> float:
-        from repro.hardware.gpus import gpu_spec
         from repro.profiling.features import features_for
 
         graph = (

@@ -41,8 +41,11 @@ from repro.experiments.common import (
     training_profiles,
 )
 from repro.hardware.gpus import GPU_KEYS
-from repro.models.zoo import TEST_MODELS, TRAIN_MODELS
+from repro.models.zoo import TEST_MODELS
 from repro.obs.spans import traced
+
+#: Profiling iterations the PALEO baseline's targets are read at, at most.
+PALEO_MAX_ITERATIONS = 200
 
 
 @dataclass
@@ -170,9 +173,9 @@ def run_ablations(
     """Run all ablation/baseline studies on the held-out test CNNs."""
     fitted = fitted_ceer(n_iterations, workspace=workspace)
     estimator = fitted.estimator
-    paleo = PaleoStyleEstimator.fit(
-        list(TRAIN_MODELS), list(GPU_KEYS), n_iterations=min(n_iterations, 200)
-    )
+    paleo = PaleoStyleEstimator.fit(training_profiles(
+        min(n_iterations, PALEO_MAX_ITERATIONS), workspace=workspace
+    ))
     layer_level = LayerLevelEstimator.fit(
         training_profiles(n_iterations, workspace=workspace)
     )

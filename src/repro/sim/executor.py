@@ -13,8 +13,8 @@ stacked into one (ops x iterations) matrix and reduced once per statistic.
 
 Like the paper's harness, each cell — one (graph content, GPU spec,
 iteration count, seed context) — is measured once per process: every
-consumer (profiler, comm collection, ground-truth training runs, the
-PALEO baseline) reads the same memoised statistics columns.
+consumer (profiler, comm collection, ground-truth training runs) reads
+the same memoised statistics columns.
 """
 
 from __future__ import annotations

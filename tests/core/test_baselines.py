@@ -1,28 +1,44 @@
 """Tests for baseline predictors and naive strategies."""
 
+import json
+
 import pytest
 
+from repro.artifacts import kinds
 from repro.cloud.pricing import MARKET_RATIO, ON_DEMAND
+from repro.core import baselines
 from repro.errors import ModelingError
 from repro.core.baselines import (
     LayerLevelEstimator,
     PaleoStyleEstimator,
     cheapest_instance_strategy,
     latest_gpu_strategy,
+    profiled_iteration_us,
     strategy_cost_comparison,
 )
+from repro.hardware.gpus import GPU_KEYS
+from repro.models.zoo import TRAIN_MODELS, build_model
+from repro.obs.metrics import default_registry
+from repro.profiling.profiler import Profiler
+from repro.profiling.records import ProfileDataset
 from repro.sim.trainer import measure_training
 from repro.workloads.dataset import IMAGENET_6400, TrainingJob
+from tests.oracle import oracle_paleo_models, oracle_paleo_targets
 
 JOB = TrainingJob(IMAGENET_6400, batch_size=32)
 
 
 @pytest.fixture(scope="module")
-def paleo():
-    return PaleoStyleEstimator.fit(
-        ["inception_v1", "vgg_11", "resnet_50", "inception_v4"],
-        ["V100", "T4"], n_iterations=60,
-    )
+def paleo(train_profiles_small):
+    return PaleoStyleEstimator.fit(train_profiles_small.filter(
+        lambda r: r.gpu_key in ("V100", "T4")
+        and r.model in ("inception_v1", "vgg_11", "resnet_50", "inception_v4")
+    ))
+
+
+@pytest.fixture(scope="module")
+def profiles_40():
+    return Profiler(n_iterations=40).profile_many(list(TRAIN_MODELS), list(GPU_KEYS))
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +54,12 @@ class TestPaleo:
         predicted = paleo.predict_iteration_us("resnet_101", "V100")
         assert 0.4 * observed < predicted < 2.5 * observed
 
+    def test_graph_and_zoo_name_predict_alike(self, paleo):
+        graph = build_model("resnet_101", batch_size=32)
+        assert paleo.predict_iteration_us(graph, "V100") == (
+            paleo.predict_iteration_us("resnet_101", "V100")
+        )
+
     def test_unfitted_gpu_rejected(self, paleo):
         with pytest.raises(ModelingError):
             paleo.predict_iteration_us("alexnet", "M60")
@@ -52,6 +74,60 @@ class TestPaleo:
         )
         paleo_err = abs(paleo.predict_iteration_us("alexnet", "V100") - observed)
         assert ceer_err < paleo_err
+
+
+class TestPaleoFromProfile:
+    """The fit reads its targets from profile records, simulating nothing,
+    and gets the bits the simulate-and-sum fit got."""
+
+    def test_targets_equal_simulated_sums(self, profiles_40):
+        oracle = oracle_paleo_targets(TRAIN_MODELS, GPU_KEYS, 40)
+        targets = profiled_iteration_us(profiles_40)
+        assert targets.keys() == oracle.keys()
+        for cell, us in oracle.items():
+            assert targets[cell] == us, cell
+
+    def test_coefficients_equal_simulated_fit(self, profiles_40):
+        oracle = oracle_paleo_models(TRAIN_MODELS, GPU_KEYS, 40)
+        assert PaleoStyleEstimator.fit(profiles_40).models == oracle
+
+    def test_round_tripped_profile_fits_identically(self, profiles_40):
+        """Through the ``profile`` artifact's JSON codec (one GPU, for speed)."""
+        original = profiles_40.for_gpu("T4")
+        decoded = kinds.decode_profiles(
+            json.loads(json.dumps(kinds.encode_profiles(original)))
+        )
+        assert profiled_iteration_us(decoded) == profiled_iteration_us(original)
+        assert (
+            PaleoStyleEstimator.fit(decoded).models
+            == PaleoStyleEstimator.fit(original).models
+        )
+
+    def test_fit_simulates_nothing(self, profiles_40):
+        misses = default_registry().counter("sim.cells", result="miss")
+        before = misses.value
+        PaleoStyleEstimator.fit(profiles_40)
+        assert misses.value == before
+
+    def test_empty_profile_rejected_by_fit(self):
+        with pytest.raises(ModelingError, match="non-empty"):
+            PaleoStyleEstimator.fit(ProfileDataset(()))
+
+    def test_gflops_walked_once_per_model(self, profiles_40, monkeypatch):
+        walks = []
+        real_graph_flops = baselines.graph_flops
+
+        def counting_graph_flops(ops):
+            walks.append(1)
+            return real_graph_flops(ops)
+
+        monkeypatch.setattr(baselines, "graph_flops", counting_graph_flops)
+        paleo = PaleoStyleEstimator.fit(profiles_40)
+        assert len(walks) == len(TRAIN_MODELS)
+        for _ in range(3):
+            for gpu_key in GPU_KEYS:
+                paleo.predict_iteration_us("resnet_101", gpu_key)
+        assert len(walks) == len(TRAIN_MODELS) + 1
 
 
 class TestLayerLevel:

@@ -5,8 +5,12 @@ properties of its paper figure; the quantitative paper-vs-measured
 comparison lives in tests/test_paper_claims.py and EXPERIMENTS.md.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.artifacts import kinds
+from repro.artifacts.workspace import Workspace
 from repro.experiments import (
     run_ablations,
     run_fig2,
@@ -21,9 +25,15 @@ from repro.experiments import (
     run_fig11,
     run_fig12,
 )
+from repro.experiments.ablations import PALEO_MAX_ITERATIONS
 from repro.hardware.gpus import GPU_KEYS
+from repro.models.zoo import TRAIN_MODELS
 
 N = 80  # reduced from the canonical 300 for test speed
+
+
+class _Stop(Exception):
+    """Raised by a spy to end a driver at the request it records."""
 
 
 class TestFig2:
@@ -243,3 +253,28 @@ class TestAblations:
 
     def test_render(self, result):
         assert "strategy cost" in result.render()
+
+    def test_paleo_reads_the_200_iteration_training_profile(
+        self, tmp_path, monkeypatch
+    ):
+        """Above PALEO_MAX_ITERATIONS the baseline asks the workspace for the
+        training profile at the cap. Stops at that request: nothing is
+        simulated at 300 iterations."""
+        ws = Workspace(tmp_path / "ws")
+        monkeypatch.setattr(
+            ws, "fitted_ceer", lambda n: SimpleNamespace(estimator=None)
+        )
+        asked = []
+
+        def spy(kind, spec, *rest):
+            asked.append((kind, dict(spec)))
+            raise _Stop
+
+        monkeypatch.setattr(ws.store, "get_or_create", spy)
+        with pytest.raises(_Stop):
+            run_ablations(n_iterations=300, workspace=ws)
+        assert asked == [(kinds.PROFILE, {
+            "models": sorted(TRAIN_MODELS), "gpus": sorted(GPU_KEYS),
+            "iterations": PALEO_MAX_ITERATIONS, "batch": 32, "seed": "",
+        })]
+        assert PALEO_MAX_ITERATIONS == 200

@@ -8,6 +8,10 @@ the graph with no compilation, no stacking and no caches — and the only
 copy of it. Tests and benchmarks compare the two within :data:`REL_TOL`;
 :func:`kernel_us` is the kernel side of that comparison for one graph.
 
+The PALEO baseline's original fit lives here too:
+:func:`oracle_paleo_targets` simulates each training cell and sums its
+compute time; the baseline reads the same sums from profile records.
+
 The simulator's statistics have their reference here too:
 :func:`oracle_timings` draws each op's samples and reduces them one op at
 a time, five numpy reductions per op. The stacked (ops x iterations)
@@ -17,7 +21,7 @@ statistics of :mod:`repro.sim.executor` must match it bit for bit.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,13 +31,16 @@ from repro.core.classify import CPU, HEAVY, LIGHT
 from repro.core.engine import compile_graph
 from repro.core.estimator import CeerEstimator, TrainingPrediction
 from repro.core.op_models import ComputeTimeModels
+from repro.core.regression import RegressionModel, fit_regression
 from repro.errors import CatalogError, UnseenOperationError
+from repro.graph.flops import graph_flops
 from repro.graph.graph import OpGraph
 from repro.graph.ops import Device, Operation
 from repro.hardware.gpus import gpu_spec
 from repro.hardware.kernel_model import sample_op_times_us
 from repro.models.zoo import build_model
 from repro.profiling.features import features_for
+from repro.sim.executor import compute_us
 from repro.sim.trace import OpTiming
 from repro.workloads.dataset import TrainingJob
 
@@ -211,3 +218,37 @@ def oracle_timings(
         )
         for op in graph.operations
     )
+
+
+def oracle_paleo_targets(
+    models: Sequence[str], gpu_keys: Sequence[str], n_iterations: int,
+    batch_size: int = 32,
+) -> Dict[Tuple[str, str], float]:
+    """(GPU, model) -> the simulated cell's mean per-iteration compute time."""
+    return {
+        (gpu_key, name): compute_us(
+            build_model(name, batch_size=batch_size), gpu_key, n_iterations
+        )
+        for gpu_key in gpu_keys
+        for name in models
+    }
+
+
+def oracle_paleo_models(
+    models: Sequence[str], gpu_keys: Sequence[str], n_iterations: int,
+    batch_size: int = 32,
+) -> Dict[str, RegressionModel]:
+    """The PALEO fit over simulated targets: one FLOP regression per GPU,
+    rows in ``models`` order."""
+    targets = oracle_paleo_targets(models, gpu_keys, n_iterations, batch_size)
+    fitted: Dict[str, RegressionModel] = {}
+    for gpu_key in gpu_keys:
+        rows, ys = [], []
+        for name in models:
+            graph = build_model(name, batch_size=batch_size)
+            rows.append([graph_flops(graph.operations) / 1e9])
+            ys.append(targets[(gpu_key, name)])
+        fitted[gpu_key] = fit_regression(
+            np.asarray(rows), np.asarray(ys), ("gflops",), allow_quadratic=False,
+        )
+    return fitted
