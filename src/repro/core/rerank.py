@@ -16,9 +16,10 @@ exactly the arithmetic :class:`~repro.core.estimator.TrainingPrediction`
 performs per candidate — same operation sequence, same order — so the
 scores (and therefore the stable-sorted ranking) are *bit-identical* to
 a full re-sweep with the tick's pricing scored through
-:class:`~repro.core.recommend.SpotRiskObjective`. The test suite and
-``tools/bench_spot_rerank.py`` assert this equivalence; the perf gate
-enforces the ≥10x latency win that justifies the layer.
+:class:`~repro.core.recommend.SpotRiskObjective`. The test suite and the
+``spot`` section of ``tools/bench.py`` assert this equivalence;
+``tools/perf_gate.py`` enforces the ≥10x latency win that justifies the
+layer through the gates kept in ``BENCH_spot_rerank.json``.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import GraphError
 from repro.graph.ops import Device, OpCategory, Operation
+from repro.graph.table import OpTable
 
 
 @dataclass
@@ -37,6 +38,7 @@ class OpGraph:
     _ops: Dict[str, Operation] = field(default_factory=dict)
     _topo_cache: Optional[List[Operation]] = field(default=None, repr=False)
     _digest_cache: Optional[str] = field(default=None, repr=False, compare=False)
+    _table_cache: Optional[OpTable] = field(default=None, repr=False, compare=False)
 
     # -- construction -----------------------------------------------------
     def add(self, op: Operation) -> Operation:
@@ -52,6 +54,7 @@ class OpGraph:
         self._ops[op.name] = op
         self._topo_cache = None
         self._digest_cache = None
+        self._table_cache = None
         return op
 
     def extend(self, ops: Iterable[Operation]) -> None:
@@ -90,6 +93,13 @@ class OpGraph:
             text = "\n".join(repr(op) for op in self._ops.values())
             self._digest_cache = hashlib.sha256(text.encode("utf-8")).hexdigest()
         return self._digest_cache
+
+    def op_table(self) -> OpTable:
+        """Every operation's static columns (:class:`OpTable`), built once;
+        cached until the next :meth:`add`."""
+        if self._table_cache is None:
+            self._table_cache = OpTable(self.operations)
+        return self._table_cache
 
     def ops_on(self, device: Device) -> Tuple[Operation, ...]:
         return tuple(op for op in self._ops.values() if op.device is device)

@@ -16,6 +16,11 @@ plus a mild superlinear term for the ops the paper found to need quadratic
 regression fits (Conv2DBackpropFilter; Section IV-B). Host (CPU) ops use a
 separate bandwidth + overhead model.
 
+:func:`sample_cell_times_us` is the same law over a graph's
+:class:`~repro.graph.table.OpTable`: every op of a cell at once, equal
+float for float to :func:`sample_op_times_us` per op, which stays as the
+reference.
+
 Nothing in :mod:`repro.core` (Ceer) imports this module: Ceer only ever
 sees sampled measurements, never the law that generated them.
 """
@@ -26,6 +31,7 @@ import numpy as np
 
 from repro.graph.flops import flop_count, memory_bytes
 from repro.graph.ops import Device, OpCategory, Operation
+from repro.graph.table import CATEGORIES, DEVICES, OpTable
 from repro.hardware.calibration import (
     QUADRATIC_OP_TYPES,
     QUADRATIC_SCALE_BYTES,
@@ -33,7 +39,14 @@ from repro.hardware.calibration import (
     op_tweak,
 )
 from repro.hardware.gpus import HOST_CPU, CpuSpec, GpuSpec, gpu_spec
-from repro.hardware.noise import noise_sigma, rng_for, sample_lognormal_times_us
+from repro.hardware.noise import (
+    first_randoms,
+    lognormal_rows,
+    noise_sigma,
+    rng_for,
+    sample_lognormal_times_us,
+    seed_for,
+)
 
 
 def host_base_time_us(op: Operation, cpu: CpuSpec = HOST_CPU) -> float:
@@ -130,3 +143,76 @@ def sample_op_times_us(
     sigma = noise_sigma(op.op_type)
     rng = rng_for(device_key, op.name, op.op_type, seed_context)
     return sample_lognormal_times_us(base, sigma, n_samples, rng)
+
+
+def host_base_times_us(
+    table: OpTable, rows: np.ndarray, cpu: CpuSpec = HOST_CPU
+) -> np.ndarray:
+    """:func:`host_base_time_us` of the table's ``rows``, as a column."""
+    data = np.maximum(table.input_bytes[rows], table.output_bytes[rows])
+    return cpu.overhead_us + data / (cpu.effective_bandwidth_gbps * 1e3)
+
+
+def gpu_base_times_us(table: OpTable, rows: np.ndarray, gpu: GpuSpec) -> np.ndarray:
+    """:func:`gpu_base_time_us` of the table's ``rows``: the roofline as
+    columns.
+
+    Only IEEE +, -, *, / and max run over the columns, in the per-op
+    order, so every entry equals the per-op float. A factor the per-op law
+    skips (no quadratic term) is a multiplication by exactly 1.0.
+    """
+    category = table.category[rows]
+    compute_eff = np.zeros(len(CATEGORIES))
+    memory_eff = np.zeros(len(CATEGORIES))
+    for code in np.unique(category).tolist():
+        compute_eff[code], memory_eff[code] = efficiency(gpu.key, CATEGORIES[code])
+    compute_us = table.flops[rows] / (gpu.peak_gflops * compute_eff[category] * 1e3)
+    memory_us = table.memory_bytes[rows] / (
+        gpu.memory_bandwidth_gbps * memory_eff[category] * 1e3
+    )
+    parallelism = np.maximum(
+        table.input_elements[rows], table.output_elements[rows]
+    ).astype(float)
+    utilization = parallelism / (parallelism + gpu.saturation_elements)
+    t = gpu.launch_overhead_us + np.maximum(compute_us, memory_us) / utilization
+    t *= table.per_type([op_tweak(name, gpu.key) for name in table.type_names])[rows]
+    first = first_randoms(
+        [seed_for("instance", gpu.key, table.names[row]) for row in rows.tolist()]
+    )
+    t *= 1.0 + _INSTANCE_SPREAD * (2.0 * first - 1.0)
+    quadratic = table.per_type(
+        [name in QUADRATIC_OP_TYPES for name in table.type_names]
+    )[rows]
+    t *= np.where(
+        quadratic, 1.0 + table.input_bytes[rows] / QUADRATIC_SCALE_BYTES, 1.0
+    )
+    return t
+
+
+def sample_cell_times_us(
+    table: OpTable,
+    device_key: str,
+    n_samples: int,
+    seed_context: str = "",
+) -> np.ndarray:
+    """:func:`sample_op_times_us` for every op of a table, bit for bit.
+
+    Returns an (ops x ``n_samples``) matrix, rows in table order: the
+    same base times, sigmas and streams, seeded in one batch.
+    """
+    on_host = (
+        (table.device == DEVICES.index(Device.CPU))
+        | (table.category == CATEGORIES.index(OpCategory.HOST))
+    )
+    base = np.empty(len(table))
+    host_rows = np.flatnonzero(on_host)
+    gpu_rows = np.flatnonzero(~on_host)
+    base[host_rows] = host_base_times_us(table, host_rows)
+    if gpu_rows.size:
+        base[gpu_rows] = gpu_base_times_us(table, gpu_rows, gpu_spec(device_key))
+    sigma = table.per_type([noise_sigma(name) for name in table.type_names])
+    seeds = [
+        seed_for(device_key, name, op_type, seed_context)
+        for name, op_type in zip(table.names, table.op_types)
+    ]
+    return lognormal_rows(base, sigma, seeds, n_samples)

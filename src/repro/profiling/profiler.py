@@ -7,7 +7,8 @@ per-op compute times from the profiler over 1,000 iterations (Section III).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from collections import Counter
+from typing import Iterable, Sequence, Tuple, Union
 
 from repro.errors import ProfilingError
 from repro.graph.graph import OpGraph
@@ -42,41 +43,8 @@ class Profiler:
         seed_context: str = "",
     ) -> ProfileDataset:
         """Profile one model on one GPU type; one record per operation."""
-        graph = (
-            build_model(model, batch_size=self.batch_size)
-            if isinstance(model, str)
-            else model
-        )
-        with span(
-            "profile.run", model=graph.name, gpu=gpu_key,
-            iterations=self.n_iterations,
-        ):
-            op_by_name = {}
-            duplicates = set()
-            for op in graph.operations:
-                if op.name in op_by_name:
-                    duplicates.add(op.name)
-                op_by_name[op.name] = op
-            if duplicates:
-                # A name collision would silently attribute every colliding
-                # timing to whichever op won the dict insertion — corrupt
-                # features with no error. Refuse instead.
-                raise ProfilingError(
-                    f"graph {graph.name!r} has duplicate operation names "
-                    f"{sorted(duplicates)}; profile records cannot be "
-                    f"attributed unambiguously"
-                )
-            profile = run_iterations(graph, gpu_key, self.n_iterations, seed_context)
-            records = [
-                ProfileRecord.from_timing(
-                    graph.name, timing, features_for(op_by_name[timing.op_name])
-                )
-                for timing in profile.timings
-            ]
-        metrics = default_registry()
-        metrics.counter("profiling.runs", gpu=gpu_key).inc()
-        metrics.counter("profiling.records").inc(len(records))
-        return ProfileDataset(records)
+        graph = self._graph(model)
+        return self._profile(graph, _feature_rows(graph), gpu_key, seed_context)
 
     def profile_many(
         self,
@@ -84,17 +52,65 @@ class Profiler:
         gpu_keys: Iterable[str],
         seed_context: str = "",
     ) -> ProfileDataset:
-        """Profile every (model, GPU) pair and merge the results."""
+        """Profile every (model, GPU) pair and merge the results.
+
+        A model's feature rows depend on its graph only, so they are
+        computed once and shared by its GPUs.
+        """
         gpu_list = list(gpu_keys)
         with span(
             "profile.sweep", models=len(models), gpus=len(gpu_list),
             iterations=self.n_iterations,
         ):
-            datasets = [
-                self.profile(model, gpu_key, seed_context)
-                for model in models
-                for gpu_key in gpu_list
-            ]
+            datasets = []
+            for model in models:
+                graph = self._graph(model)
+                features = _feature_rows(graph)
+                datasets.extend(
+                    self._profile(graph, features, gpu_key, seed_context)
+                    for gpu_key in gpu_list
+                )
             if not datasets:
                 raise ProfilingError("profile_many called with no (model, GPU) pairs")
             return ProfileDataset.concat(datasets)
+
+    def _graph(self, model: Union[str, OpGraph]) -> OpGraph:
+        if isinstance(model, str):
+            return build_model(model, batch_size=self.batch_size)
+        return model
+
+    def _profile(
+        self,
+        graph: OpGraph,
+        features: Sequence[Tuple[float, ...]],
+        gpu_key: str,
+        seed_context: str,
+    ) -> ProfileDataset:
+        with span(
+            "profile.run", model=graph.name, gpu=gpu_key,
+            iterations=self.n_iterations,
+        ):
+            names = Counter(op.name for op in graph.operations)
+            duplicates = [name for name, count in names.items() if count > 1]
+            if duplicates:
+                # Records are told apart by op name downstream; a collision
+                # would make them ambiguous with no error. Refuse instead.
+                raise ProfilingError(
+                    f"graph {graph.name!r} has duplicate operation names "
+                    f"{sorted(duplicates)}; profile records cannot be "
+                    f"attributed unambiguously"
+                )
+            profile = run_iterations(graph, gpu_key, self.n_iterations, seed_context)
+            records = [
+                ProfileRecord.from_timing(graph.name, timing, row)
+                for timing, row in zip(profile.timings, features)
+            ]
+        metrics = default_registry()
+        metrics.counter("profiling.runs", gpu=gpu_key).inc()
+        metrics.counter("profiling.records").inc(len(records))
+        return ProfileDataset(records)
+
+
+def _feature_rows(graph: OpGraph) -> Tuple[Tuple[float, ...], ...]:
+    """:func:`features_for` of every op, in ``graph.operations`` order."""
+    return tuple(features_for(op) for op in graph.operations)

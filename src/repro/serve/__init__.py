@@ -16,9 +16,10 @@ profiling — this layer answers it in milliseconds over HTTP):
 * :mod:`repro.serve.http` — a stdlib asyncio HTTP/1.1 server with
   keep-alive and signal-driven reload/shutdown.
 
-``repro serve`` (the CLI) wires these together; ``tools/bench_serve.py``
-load-tests the result and ``tools/perf_gate.py --serve-fresh`` gates the
-machine-independent ratios in CI.
+``repro serve`` (the CLI) wires these together; the ``serve`` section of
+``tools/bench.py`` load-tests the result, and ``tools/perf_gate.py``
+judges its report by the gates kept in ``BENCH_serve.json``: the
+machine-independent ratios and correctness flags, in CI.
 """
 
 from repro.serve.app import ServeApp, ServeState

@@ -6,10 +6,15 @@ training loop with the timeline profiler, which is how the paper gathers
 its measurements (Section III: "compute times ... averaged over 1,000
 iterations").
 
-The simulation is vectorised per op: one RNG draw of N samples per
-operation, so profiling a 2,500-op graph for 1,000 iterations costs a few
-thousand numpy calls, not millions of Python-level events. The samples are
-stacked into one (ops x iterations) matrix and reduced once per statistic.
+A cell is simulated as columns: the roofline runs over the graph's cached
+:class:`~repro.graph.table.OpTable`, every op's random streams are seeded
+in one batch, and each op's N samples are one draw on a reused Generator
+(:func:`repro.hardware.kernel_model.sample_cell_times_us`). Profiling a
+2,500-op graph for 1,000 iterations thus costs a few numpy calls per op,
+not millions of Python-level events. The samples form one (ops x
+iterations) matrix, reduced once per statistic; each statistic equals
+the per-op reference (:func:`~repro.hardware.kernel_model.sample_op_times_us`
+then five reductions) bit for bit.
 
 Like the paper's harness, each cell — one (graph content, GPU spec,
 iteration count, seed context) — is measured once per process: every
@@ -28,8 +33,9 @@ import numpy as np
 from repro.errors import ProfilingError
 from repro.graph.graph import OpGraph
 from repro.graph.ops import Device
+from repro.graph.table import DEVICES
 from repro.hardware.gpus import gpu_spec
-from repro.hardware.kernel_model import sample_op_times_us
+from repro.hardware.kernel_model import sample_cell_times_us
 from repro.obs.metrics import default_registry
 from repro.sim.trace import IterationProfile, OpTiming
 
@@ -49,10 +55,9 @@ _memo_lock = threading.Lock()
 def _simulate(graph: OpGraph, key: str, n_iterations: int,
               seed_context: str) -> np.ndarray:
     """Draw every op's samples (one RNG stream per op) and reduce them."""
-    ops = graph.operations
-    samples = np.empty((len(ops), n_iterations))
-    for row, op in enumerate(ops):
-        samples[row] = sample_op_times_us(op, key, n_iterations, seed_context)
+    samples = sample_cell_times_us(
+        graph.op_table(), key, n_iterations, seed_context
+    )
     stats = np.stack([
         samples.mean(axis=1),
         samples.std(axis=1, ddof=1),
@@ -115,9 +120,9 @@ def compute_us(
     sum over the same floats in the same order (GPU ops, then CPU ops).
     """
     means = cell_stats(graph, gpu_key, n_iterations, seed_context)[1][MEAN].tolist()
-    ops = graph.operations
-    gpu = sum(m for m, op in zip(means, ops) if op.device is Device.GPU)
-    cpu = sum(m for m, op in zip(means, ops) if op.device is Device.CPU)
+    devices = [DEVICES[code] for code in graph.op_table().device.tolist()]
+    gpu = sum(m for m, device in zip(means, devices) if device is Device.GPU)
+    cpu = sum(m for m, device in zip(means, devices) if device is Device.CPU)
     return gpu + cpu
 
 
@@ -140,6 +145,7 @@ def run_iterations(
         An :class:`IterationProfile` with one :class:`OpTiming` per op.
     """
     key, stats = cell_stats(graph, gpu_key, n_iterations, seed_context)
+    table = graph.op_table()
     return IterationProfile(
         model=graph.name,
         gpu_key=key,
@@ -147,8 +153,12 @@ def run_iterations(
         n_iterations=n_iterations,
         num_parameters=graph.num_parameters,
         timings=tuple(
-            OpTiming(op.name, op.op_type, op.device.value, key, op.input_bytes,
-                     op.output_bytes, n_iterations, *column)
-            for op, column in zip(graph.operations, stats.T.tolist())
+            OpTiming(name, op_type, DEVICES[device].value, key, input_bytes,
+                     output_bytes, n_iterations, *column)
+            for name, op_type, device, input_bytes, output_bytes, column in zip(
+                table.names, table.op_types, table.device.tolist(),
+                table.input_bytes.tolist(), table.output_bytes.tolist(),
+                stats.T.tolist(),
+            )
         ),
     )

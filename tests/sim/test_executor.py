@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.graph.graph as graph_module
 from repro.errors import ProfilingError
 from repro.graph.graph import OpGraph
 from repro.graph.ops import Device, Operation
@@ -20,9 +22,11 @@ from repro.hardware.gpus import (
     register_gpu_spec,
     unregister_gpu_spec,
 )
+from repro.hardware import noise
 from repro.models.zoo import build_model, model_names
 from repro.obs.metrics import MetricsRegistry, set_default_registry
-from repro.sim.executor import compute_us, run_iterations
+from repro.profiling.profiler import Profiler
+from repro.sim.executor import cell_stats, compute_us, run_iterations
 from tests.oracle import oracle_timings, op_timing_from_samples
 from tests.test_property_random_models import _architectures, _build_random
 
@@ -131,6 +135,56 @@ class TestStackedStatistics:
         assert compute_us(graph, gpu_key, n_iterations, seed_context) == (
             profile.compute_us
         )
+
+
+    @pytest.mark.parametrize("model_name", ["alexnet", "resnet_50"])
+    def test_cell_stats_array_equal_oracle(self, model_name):
+        graph = build_model(model_name, batch_size=16)
+        for gpu_key in GPU_KEYS:
+            stats = cell_stats(graph, gpu_key, 33, "array-equal")[1]
+            expected = np.array([
+                [t.mean_us, t.std_us, t.median_us, t.min_us, t.max_us]
+                for t in oracle_timings(graph, gpu_key, 33, "array-equal")
+            ]).T
+            assert np.array_equal(stats, expected)
+
+
+class TestColumnarCell:
+    """What makes a cold cell cheap: no per-op Generator seeding, and one
+    op table per graph whatever the number of GPUs."""
+
+    def test_cold_cell_seeds_no_generator(self, monkeypatch):
+        graph = _build_random(["conv_bn", "pool", "conv"])
+        built = []
+
+        def counting(name, real):
+            def make(*args, **kwargs):
+                built.append(name)
+                return real(*args, **kwargs)
+            return make
+
+        for name in ("default_rng", "SeedSequence"):
+            monkeypatch.setattr(
+                noise.np.random, name, counting(name, getattr(noise.np.random, name))
+            )
+        run_iterations(graph, "V100", 6, "cold-cell")
+        assert built == []
+        noise.rng_for("the counter sees a per-op stream")
+        assert built == ["default_rng"]
+
+    def test_profiling_four_gpus_builds_one_table(self, monkeypatch):
+        built = []
+
+        class CountingTable(graph_module.OpTable):
+            def __init__(self, ops):
+                built.append(len(ops))
+                super().__init__(ops)
+
+        monkeypatch.setattr(graph_module, "OpTable", CountingTable)
+        graph = _build_random(["conv", "avg_pool", "conv_bn"])
+        dataset = Profiler(n_iterations=4).profile_many([graph], GPU_KEYS)
+        assert built == [len(graph)]
+        assert len(dataset) == len(graph) * len(GPU_KEYS)
 
 
 def _host_graph(name="host-only", ops=1):

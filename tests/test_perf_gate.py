@@ -147,6 +147,30 @@ def test_refreshing_a_baseline_rewrites_values_and_keeps_gates(tmp_path):
     assert "gates" not in json.loads((tmp_path / "new.json").read_text())
 
 
+def test_each_written_report_appends_one_history_line(tmp_path):
+    fresh = {key: value for key, value in load("BENCH_transfer.json").items()
+             if key != "gates"}
+    target = tmp_path / "BENCH_transfer.json"
+    perf_gate.write_report(target, fresh)
+    perf_gate.write_report(target, with_value(fresh, "spec_only.overhead_ratio", 0.5))
+    lines = [json.loads(line) for line in
+             (tmp_path / perf_gate.HISTORY_FILE).read_text().splitlines()]
+    assert len(lines) == 2
+    for line in lines:
+        assert line["benchmark"] == fresh["benchmark"]
+        assert {"commit", "dirty", "host", "python", "numpy"} <= set(line)
+        assert line["dirty"] in (True, False, None)
+        assert line["values"]["config.fit_iterations"] == (
+            fresh["config"]["fit_iterations"])
+    assert lines[1]["values"]["spec_only.overhead_ratio"] == 0.5
+    assert lines[0]["values"] == perf_gate.numeric_values(fresh)
+    assert all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in lines[0]["values"].values())
+    # The gate never reads the history: a garbage line changes nothing.
+    (tmp_path / perf_gate.HISTORY_FILE).write_text("not json\n")
+    assert perf_gate.main([str(target)]) == 0
+
+
 def test_cli_matches_fresh_reports_to_baselines_by_name(tmp_path, capsys):
     baseline = load("BENCH_spot_rerank.json")
     fresh_path = tmp_path / "BENCH_spot_rerank.json"

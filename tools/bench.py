@@ -28,7 +28,9 @@ not at all. Latency does not depend on the profiling iterations.
 
 The tool measures; ``tools/perf_gate.py`` judges the reports by the
 gates their committed baselines carry. Writing a report over a committed
-baseline refreshes its values and keeps its gates.
+baseline refreshes its values and keeps its gates; every report written
+also appends one line (commit, host, Python, numpy, every numeric value)
+to ``BENCH_history.jsonl`` in the same directory, which no gate reads.
 
 Usage::
 
@@ -839,7 +841,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help=f"sections to run, of {', '.join(SECTIONS)} (default: all)")
     parser.add_argument("--out", type=Path, default=None,
                         help="directory to write BENCH_<name>.json reports into "
-                             "(gates of a report already there are kept)")
+                             "(gates of a report already there are kept) and "
+                             "to append BENCH_history.jsonl lines to")
     parser.add_argument("--trace-out", type=Path, default=None,
                         help="write a Chrome trace-event JSON of one untimed "
                              "cold+warm catalog sweep")

@@ -30,12 +30,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
+import subprocess
 import sys
+from importlib import metadata
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 #: The committed baselines live at the repository root.
 ROOT = Path(__file__).resolve().parents[1]
+
+#: Written beside the reports: one line per report written, never read
+#: by the gates. Absolute times are kept here as a trajectory.
+HISTORY_FILE = "BENCH_history.jsonl"
 
 _MISSING = object()
 
@@ -114,16 +121,72 @@ def check(baseline: Dict[str, Any],
     return lines, failures
 
 
+def numeric_values(report: Dict[str, Any]) -> Dict[str, float]:
+    """Every number in ``report`` by dotted path, booleans excluded."""
+    values: Dict[str, float] = {}
+
+    def walk(prefix: str, value: Any) -> None:
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(f"{prefix}.{key}" if prefix else key, item)
+        elif _is_number(value):
+            values[prefix] = value
+
+    walk("", report)
+    return values
+
+
+def _commit() -> Tuple[Optional[str], Optional[bool]]:
+    """(HEAD commit, whether tracked files differ from it), or Nones
+    outside a git checkout."""
+    try:
+        done = subprocess.run(
+            ["git", "status", "--porcelain=v2", "--branch", "--untracked-files=no"],
+            cwd=ROOT, capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None, None
+    if done.returncode != 0:
+        return None, None
+    lines = done.stdout.splitlines()
+    heads = [line.split()[-1] for line in lines if line.startswith("# branch.oid ")]
+    commit = heads[0] if heads and heads[0] != "(initial)" else None
+    return commit, any(not line.startswith("#") for line in lines)
+
+
+def _numpy_version() -> Optional[str]:
+    try:
+        return metadata.version("numpy")
+    except metadata.PackageNotFoundError:
+        return None
+
+
 def write_report(path: Path, report: Dict[str, Any]) -> None:
     """Write ``report`` to ``path``, keeping the gates of a report already
     there: writing over a committed baseline refreshes its measured values
-    and leaves its gates as they are. One gate per line."""
+    and leaves its gates as they are. One gate per line.
+
+    Also appends one line to :data:`HISTORY_FILE` beside ``path``: the
+    commit, whether the tracked files differed from it (``dirty``), host,
+    Python, numpy and every numeric value of the report."""
     gates = json.loads(path.read_text()).get("gates") if path.exists() else None
     text = json.dumps(report, indent=2)
     if gates:
         rows = ",\n".join(f"    {json.dumps(gate)}" for gate in gates)
         text = f'{text[:-2]},\n  "gates": [\n{rows}\n  ]\n}}'
     path.write_text(text + "\n")
+    commit, dirty = _commit()
+    line = {
+        "benchmark": report.get("benchmark"),
+        "commit": commit,
+        "dirty": dirty,
+        "host": platform.node(),
+        "python": platform.python_version(),
+        "numpy": _numpy_version(),
+        "values": numeric_values(report),
+    }
+    with open(path.parent / HISTORY_FILE, "a") as history:
+        history.write(json.dumps(line) + "\n")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
