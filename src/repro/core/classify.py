@@ -82,7 +82,7 @@ def classify_operations(
     """
     if not profiles:
         raise ModelingError("cannot classify operations from an empty profile set")
-    cpu_types = frozenset(r.op_type for r in profiles.cpu_records())
+    cpu_types = frozenset(profiles.cpu_records().op_types())
     gpu_profiles = profiles.gpu_records()
     reference = gpu_profiles.for_gpu(reference_gpu)
     ref_means = reference.mean_us_by_op_type()

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.errors import HardwareError, ModelingError
 from repro.profiling.features import feature_schema
@@ -156,19 +157,19 @@ class ComputeTimeModels:
 
 
 def fit_heavy_regression(
-    rows: Sequence[Sequence[float]],
-    targets: Sequence[float],
+    rows: ArrayLike,
+    targets: ArrayLike,
     schema: Tuple[str, ...],
     allow_quadratic: bool = True,
 ) -> RegressionModel:
-    """Fit one heavy-op regression from raw feature rows / mean times.
+    """Fit one heavy-op regression from a feature matrix / mean times.
 
     Shared by :class:`PerGpuBackend` and the transfer backend's
     leave-one-GPU-out baseline, so both fit a cell the same way.
     """
-    x = np.asarray([list(row) for row in rows], dtype=float)
+    x = np.asarray(rows, dtype=float)
     y = np.asarray(targets, dtype=float)
-    if len(rows) >= x.shape[1] + 2:
+    if x.shape[0] >= x.shape[1] + 2:
         return fit_regression(x, y, schema, allow_quadratic=allow_quadratic)
     # Rare op types (e.g. LRN: two instances per network) get a
     # proportional input-size model instead of a full OLS fit.
@@ -223,15 +224,14 @@ class PerGpuBackend(OpModelBackend):
         fallbacks: List[Tuple[str, str]] = []
         gpu_records = train_profiles.gpu_records()
         for gpu_key in gpu_records.gpu_keys():
-            per_gpu = gpu_records.for_gpu(gpu_key)
+            by_type = gpu_records.for_gpu(gpu_key).group_by_op_type()
             for op_type in classification.heavy:
-                subset = per_gpu.for_op_type(op_type)
-                if not subset:
+                subset = by_type.get(op_type)
+                if subset is None:
                     continue  # never seen on this GPU; predict_op raises later
                 schema = feature_schema(op_type)
                 regression = fit_heavy_regression(
-                    [r.features for r in subset], [r.mean_us for r in subset],
-                    schema, allow_quadratic,
+                    subset.feature_matrix(), subset.mean_us, schema, allow_quadratic,
                 )
                 heavy_models[(gpu_key, op_type)] = HeavyOpModel(gpu_key, op_type, regression)
                 train_r2[(gpu_key, op_type)] = regression.r2
@@ -339,13 +339,13 @@ def fit_compute_models(
         )
 
     gpu_records = train_profiles.gpu_records()
-    light_times_us = [
-        r.median_us for r in gpu_records if r.op_type in classification.light
+    light_times_us = gpu_records.median_us[
+        gpu_records.op_type_mask(classification.light)
     ]
-    cpu_times_us = [r.median_us for r in train_profiles.cpu_records()]
-    if not light_times_us:
+    cpu_times_us = train_profiles.cpu_records().median_us
+    if not len(light_times_us):
         raise ModelingError("no light-op observations in training profiles")
-    if not cpu_times_us:
+    if not len(cpu_times_us):
         raise ModelingError("no CPU-op observations in training profiles")
     pool = np.median if light_estimator == "median" else np.mean
 

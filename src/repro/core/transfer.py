@@ -45,9 +45,10 @@ score MAPE on the holdout against the paper's own in-sample per-GPU fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.errors import ModelingError
 from repro.hardware.gpus import GpuSpec, gpu_spec
@@ -68,14 +69,9 @@ from repro.core.regression import (
 #: the V100 maps to d = (1, 1), slower devices to larger components.
 REFERENCE_TRANSFER_GPU = "V100"
 
-#: Type alias for one pooled training cell:
-#: (op_type, feature rows, mean times, per-row device features).
-TransferCell = Tuple[
-    str,
-    Tuple[Tuple[float, ...], ...],
-    Tuple[float, ...],
-    Tuple[Tuple[float, float], ...],
-]
+#: Type alias for one pooled training cell: (op_type, (n, features)
+#: feature matrix, n mean times, (n, 2) device features).
+TransferCell = Tuple[str, np.ndarray, np.ndarray, np.ndarray]
 
 
 def device_features(spec: GpuSpec, reference: GpuSpec) -> Tuple[float, float]:
@@ -251,9 +247,9 @@ def _fit_transfer_proportional(
 
 def fit_transfer_op(
     op_type: str,
-    rows: Sequence[Sequence[float]],
-    targets: Sequence[float],
-    device_rows: Sequence[Tuple[float, float]],
+    rows: ArrayLike,
+    targets: ArrayLike,
+    device_rows: ArrayLike,
     schema: Tuple[str, ...],
     allow_quadratic: bool = True,
 ) -> TransferOpModel:
@@ -264,9 +260,9 @@ def fit_transfer_op(
     attempted only when the pooled sample comfortably overdetermines its
     ``6 * n_features + 3`` parameters.
     """
-    x = np.asarray([list(r) for r in rows], dtype=float)
+    x = np.asarray(rows, dtype=float)
     y = np.asarray(targets, dtype=float)
-    d = np.asarray([list(r) for r in device_rows], dtype=float)
+    d = np.asarray(device_rows, dtype=float)
     if x.shape[0] != y.shape[0] or x.shape[0] != d.shape[0]:
         raise ModelingError(
             f"transfer fit for {op_type!r}: rows/targets/device_rows "
@@ -326,23 +322,23 @@ def _pooled_cells(
     """
     gpu_records = train_profiles.gpu_records()
     reference = gpu_spec(REFERENCE_TRANSFER_GPU)
-    per_gpu = {
-        gpu_key: (gpu_records.for_gpu(gpu_key), device_features(gpu_spec(gpu_key), reference))
+    per_gpu = [
+        (gpu_records.for_gpu(gpu_key).group_by_op_type(),
+         device_features(gpu_spec(gpu_key), reference))
         for gpu_key in gpu_records.gpu_keys()
-    }
+    ]
     cells: List[TransferCell] = []
     for op_type in sorted(classification.heavy):
-        rows: List[Tuple[float, ...]] = []
-        targets: List[float] = []
-        devices: List[Tuple[float, float]] = []
-        for gpu_key in gpu_records.gpu_keys():
-            subset, dev = per_gpu[gpu_key]
-            for record in subset.for_op_type(op_type):
-                rows.append(tuple(record.features))
-                targets.append(record.mean_us)
-                devices.append(dev)
-        if rows:
-            cells.append((op_type, tuple(rows), tuple(targets), tuple(devices)))
+        subsets = [
+            (by_type[op_type], dev) for by_type, dev in per_gpu if op_type in by_type
+        ]
+        if subsets:
+            cells.append((
+                op_type,
+                np.concatenate([subset.feature_matrix() for subset, _ in subsets]),
+                np.concatenate([subset.mean_us for subset, _ in subsets]),
+                np.array([dev for subset, dev in subsets for _ in range(len(subset))]),
+            ))
     return cells
 
 
@@ -443,11 +439,11 @@ def logo_report(
                     allow_quadratic=allow_quadratic,
                 )
                 for op_type, rows, targets, devices in _pooled_cells(
-                    train_profiles.filter(lambda r, h=holdout: r.gpu_key != h),
+                    train_profiles.select(~train_profiles.gpu_mask((holdout,))),
                     classification,
                 )
             }
-            holdout_records = gpu_records.for_gpu(holdout)
+            holdout_by_type = gpu_records.for_gpu(holdout).group_by_op_type()
             d0, d1 = device_features(gpu_spec(holdout), reference)
             observed: List[float] = []
             predicted: List[float] = []
@@ -455,12 +451,12 @@ def logo_report(
             n_op_types = 0
             for op_type in sorted(classification.heavy):
                 model = fitted.get(op_type)
-                subset = holdout_records.for_op_type(op_type)
-                if model is None or not subset:
+                subset = holdout_by_type.get(op_type)
+                if model is None or subset is None:
                     continue
                 n_op_types += 1
-                targets = [r.mean_us for r in subset]
-                x = np.asarray([list(r.features) for r in subset], dtype=float)
+                targets = subset.mean_us.tolist()
+                x = subset.feature_matrix()
                 e0, e1 = model.interaction_coef
                 phi = _expand(x, model.degree)
                 coef = np.asarray(
@@ -475,8 +471,7 @@ def logo_report(
                     pred = np.minimum(pred, model.clip_max)
                 pred = np.maximum(pred, 1.0)
                 own = fit_heavy_regression(
-                    [r.features for r in subset], targets,
-                    feature_schema(op_type), allow_quadratic,
+                    x, targets, feature_schema(op_type), allow_quadratic,
                 )
                 observed.extend(targets)
                 predicted.extend(float(v) for v in pred)

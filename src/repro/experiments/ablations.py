@@ -123,15 +123,21 @@ def _heavy_test_mape(
     """Held-out MAPE per heavy op type, pooled over GPUs (paper: 2-10%)."""
     models = fitted.estimator.compute_models
     held_out = test_profiles(n_iterations, workspace=workspace).gpu_records()
+    by_type = held_out.group_by_op_type()
     mape: Dict[str, float] = {}
     for op_type in models.classification.heavy:
         observed, predicted = [], []
-        for record in held_out.for_op_type(op_type):
-            model = models.heavy_models.get((record.gpu_key, op_type))
+        rows = by_type.get(op_type)
+        if rows is None:
+            continue
+        for gpu_key, features, mean_us in zip(
+            rows.row_gpu_keys(), rows.feature_matrix(), rows.mean_us.tolist()
+        ):
+            model = models.heavy_models.get((gpu_key, op_type))
             if model is None:
                 continue
-            observed.append(record.mean_us)
-            predicted.append(model.predict_us(record.features))
+            observed.append(mean_us)
+            predicted.append(model.predict_us(features))
         if observed:
             mape[op_type] = mean_absolute_percentage_error(observed, predicted)
     return mape

@@ -101,8 +101,9 @@ def run_fig2(
     gpu_total = 0.0
     for model in profiles.models():
         subset = gpu_records.for_model(model)
-        total = sum(r.mean_us for r in subset)
-        heavy = sum(r.mean_us for r in subset if r.op_type in classification.heavy)
+        means = subset.mean_us
+        total = sum(means.tolist())
+        heavy = sum(means[subset.op_type_mask(classification.heavy)].tolist())
         heavy_share[model] = heavy / total
         light_total += total - heavy
         gpu_total += total

@@ -22,8 +22,6 @@ from repro.obs.spans import traced
 from repro.profiling.features import feature_schema
 from repro.profiling.records import ProfileDataset
 
-import numpy as np
-
 
 @dataclass
 class Fig4Result:
@@ -83,9 +81,12 @@ def run_fig4(
     points: Dict[str, List[Tuple[float, float]]] = {}
     fits: Dict[str, RegressionModel] = {}
     for gpu_key in subset.gpu_keys():
-        records = subset.for_gpu(gpu_key).records
-        points[gpu_key] = [(r.input_bytes / 1e6, r.mean_us) for r in records]
-        x = np.asarray([r.features for r in records])
-        y = np.asarray([r.mean_us for r in records])
-        fits[gpu_key] = fit_regression(x, y, feature_schema(op_type))
+        rows = subset.for_gpu(gpu_key)
+        points[gpu_key] = [
+            (input_bytes / 1e6, mean_us) for input_bytes, mean_us
+            in zip(rows.input_bytes.tolist(), rows.mean_us.tolist())
+        ]
+        fits[gpu_key] = fit_regression(
+            rows.feature_matrix(), rows.mean_us, feature_schema(op_type)
+        )
     return Fig4Result(op_type=op_type, points=points, fits=fits)

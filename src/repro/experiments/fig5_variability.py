@@ -72,16 +72,13 @@ def run_fig5(
     if profiles is None:
         profiles = (workspace or active_workspace()).training_profiles(n_iterations)
     classification = classify_operations(profiles)
-    heavy_by_gpu: Dict[str, List[float]] = {}
-    light_values: List[float] = []
-    for record in profiles.gpu_records():
-        if record.op_type in classification.heavy:
-            heavy_by_gpu.setdefault(record.gpu_key, []).append(record.normalized_std)
-        else:
-            light_values.append(record.normalized_std)
-    cpu_values = [r.normalized_std for r in profiles.cpu_records()]
+    gpu_records = profiles.gpu_records()
+    heavy = gpu_records.op_type_mask(classification.heavy)
     return Fig5Result(
-        heavy_by_gpu=heavy_by_gpu,
-        light_values=light_values,
-        cpu_values=cpu_values,
+        heavy_by_gpu={
+            gpu_key: rows.normalized_std().tolist()
+            for gpu_key, rows in gpu_records.select(heavy).group_by_gpu().items()
+        },
+        light_values=gpu_records.normalized_std()[~heavy].tolist(),
+        cpu_values=profiles.cpu_records().normalized_std().tolist(),
     )

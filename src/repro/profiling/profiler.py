@@ -10,14 +10,16 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.errors import ProfilingError
 from repro.graph.graph import OpGraph
 from repro.models.zoo import build_model
 from repro.obs.metrics import default_registry
 from repro.obs.spans import span
 from repro.profiling.features import features_for
-from repro.profiling.records import ProfileDataset, ProfileRecord
-from repro.sim.executor import run_iterations
+from repro.profiling.records import ProfileColumns, ProfileDataset, pad_features
+from repro.sim.executor import MEAN, MEDIAN, STD, cell_stats
 
 
 class Profiler:
@@ -44,7 +46,7 @@ class Profiler:
     ) -> ProfileDataset:
         """Profile one model on one GPU type; one record per operation."""
         graph = self._graph(model)
-        return self._profile(graph, _feature_rows(graph), gpu_key, seed_context)
+        return self._profile(graph, _feature_columns(graph), gpu_key, seed_context)
 
     def profile_many(
         self,
@@ -55,7 +57,8 @@ class Profiler:
         """Profile every (model, GPU) pair and merge the results.
 
         A model's feature rows depend on its graph only, so they are
-        computed once and shared by its GPUs.
+        computed once and shared by its GPUs. The cells' columns are
+        copied once, into the merged dataset.
         """
         gpu_list = list(gpu_keys)
         with span(
@@ -65,7 +68,7 @@ class Profiler:
             datasets = []
             for model in models:
                 graph = self._graph(model)
-                features = _feature_rows(graph)
+                features = _feature_columns(graph)
                 datasets.extend(
                     self._profile(graph, features, gpu_key, seed_context)
                     for gpu_key in gpu_list
@@ -82,10 +85,12 @@ class Profiler:
     def _profile(
         self,
         graph: OpGraph,
-        features: Sequence[Tuple[float, ...]],
+        features: Tuple[np.ndarray, np.ndarray],
         gpu_key: str,
         seed_context: str,
     ) -> ProfileDataset:
+        """One cell's dataset, filled from the simulator's statistics
+        columns and the graph's op table."""
         with span(
             "profile.run", model=graph.name, gpu=gpu_key,
             iterations=self.n_iterations,
@@ -100,17 +105,26 @@ class Profiler:
                     f"{sorted(duplicates)}; profile records cannot be "
                     f"attributed unambiguously"
                 )
-            profile = run_iterations(graph, gpu_key, self.n_iterations, seed_context)
-            records = [
-                ProfileRecord.from_timing(graph.name, timing, row)
-                for timing, row in zip(profile.timings, features)
-            ]
+            key, stats = cell_stats(graph, gpu_key, self.n_iterations, seed_context)
+            table = graph.op_table()
+            n_ops = len(table)
+            width, matrix = features
+            columns = ProfileColumns(
+                models=(graph.name,), gpus=(key,), op_types=table.type_names,
+                model=np.zeros(n_ops, np.intp), gpu=np.zeros(n_ops, np.intp),
+                op_type=table.type_code, device=table.device,
+                op_names=table.names, input_bytes=table.input_bytes,
+                flops=table.flops, width=width, features=matrix,
+                n_samples=np.full(n_ops, self.n_iterations),
+                mean_us=stats[MEAN], std_us=stats[STD], median_us=stats[MEDIAN],
+            )
         metrics = default_registry()
         metrics.counter("profiling.runs", gpu=gpu_key).inc()
-        metrics.counter("profiling.records").inc(len(records))
-        return ProfileDataset(records)
+        metrics.counter("profiling.records").inc(n_ops)
+        return ProfileDataset.from_columns(columns)
 
 
-def _feature_rows(graph: OpGraph) -> Tuple[Tuple[float, ...], ...]:
-    """:func:`features_for` of every op, in ``graph.operations`` order."""
-    return tuple(features_for(op) for op in graph.operations)
+def _feature_columns(graph: OpGraph) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`features_for` of every op, in ``graph.operations`` order, as
+    (widths, padded matrix)."""
+    return pad_features([features_for(op) for op in graph.operations])

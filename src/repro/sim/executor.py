@@ -39,9 +39,9 @@ from repro.hardware.kernel_model import sample_cell_times_us
 from repro.obs.metrics import default_registry
 from repro.sim.trace import IterationProfile, OpTiming
 
-#: Row of the mean in a cell's (5, n_ops) statistics matrix, whose rows
-#: are mean, std (ddof=1), median, min and max.
-MEAN = 0
+#: Rows of the mean, std (ddof=1) and median in a cell's (5, n_ops)
+#: statistics matrix, whose rows are mean, std, median, min and max.
+MEAN, STD, MEDIAN = 0, 1, 2
 
 #: Cells the per-process memo keeps, least recently used evicted first. A
 #: cell is 40 bytes per op (~40 KB for inception_v3), and the whole figure

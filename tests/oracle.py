@@ -12,6 +12,14 @@ The PALEO baseline's original fit lives here too:
 :func:`oracle_paleo_targets` simulates each training cell and sums its
 compute time; the baseline reads the same sums from profile records.
 
+Profile datasets have their reference here too:
+:class:`ReferenceProfileDataset` keeps a tuple of
+:class:`~repro.profiling.records.ProfileRecord` and answers every query
+with a loop over it, the semantics the columnar
+:class:`~repro.profiling.records.ProfileDataset` must match record for
+record; :func:`reference_profiled_iteration_us` is the PALEO targets'
+loop over records.
+
 The simulator's statistics have their reference here too:
 :func:`oracle_timings` draws each op's samples and reduces them one op at
 a time, five numpy reductions per op. The stacked (ops x iterations)
@@ -21,7 +29,7 @@ statistics of :mod:`repro.sim.executor` must match it bit for bit.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,6 +48,7 @@ from repro.hardware.gpus import gpu_spec
 from repro.hardware.kernel_model import sample_op_times_us
 from repro.models.zoo import build_model
 from repro.profiling.features import features_for
+from repro.profiling.records import ProfileRecord
 from repro.sim.executor import compute_us
 from repro.sim.trace import OpTiming
 from repro.workloads.dataset import TrainingJob
@@ -252,3 +261,78 @@ def oracle_paleo_models(
             np.asarray(rows), np.asarray(ys), ("gflops",), allow_quadratic=False,
         )
     return fitted
+
+
+class ReferenceProfileDataset:
+    """Record-tuple reference for :class:`~repro.profiling.records.ProfileDataset`."""
+
+    def __init__(self, records: Iterable[ProfileRecord]) -> None:
+        self.records: Tuple[ProfileRecord, ...] = tuple(records)
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __iter__(self) -> Iterator[ProfileRecord]:
+        return iter(self.records)
+
+    def filter(self, predicate: Callable[[ProfileRecord], bool]) -> "ReferenceProfileDataset":
+        return ReferenceProfileDataset(r for r in self.records if predicate(r))
+
+    def for_gpu(self, gpu_key: str) -> "ReferenceProfileDataset":
+        return self.filter(lambda r: r.gpu_key == gpu_key)
+
+    def for_model(self, model: str) -> "ReferenceProfileDataset":
+        return self.filter(lambda r: r.model == model)
+
+    def for_op_type(self, op_type: str) -> "ReferenceProfileDataset":
+        return self.filter(lambda r: r.op_type == op_type)
+
+    def gpu_records(self) -> "ReferenceProfileDataset":
+        return self.filter(lambda r: r.device == "GPU")
+
+    def cpu_records(self) -> "ReferenceProfileDataset":
+        return self.filter(lambda r: r.device == "CPU")
+
+    def op_types(self) -> Tuple[str, ...]:
+        return tuple(sorted({r.op_type for r in self.records}))
+
+    def gpu_keys(self) -> Tuple[str, ...]:
+        return tuple(sorted({r.gpu_key for r in self.records}))
+
+    def models(self) -> Tuple[str, ...]:
+        return tuple(sorted({r.model for r in self.records}))
+
+    def group_by_op_type(self) -> Dict[str, "ReferenceProfileDataset"]:
+        groups: Dict[str, List[ProfileRecord]] = {}
+        for r in self.records:
+            groups.setdefault(r.op_type, []).append(r)
+        return {k: ReferenceProfileDataset(v) for k, v in groups.items()}
+
+    def merge(self, *others: "ReferenceProfileDataset") -> "ReferenceProfileDataset":
+        merged: List[ProfileRecord] = list(self.records)
+        for other in others:
+            merged.extend(other.records)
+        return ReferenceProfileDataset(merged)
+
+    def mean_us_by_op_type(self) -> Dict[str, float]:
+        sums: Dict[str, Tuple[float, int]] = {}
+        for r in self.records:
+            total, count = sums.get(r.op_type, (0.0, 0))
+            sums[r.op_type] = (total + r.mean_us, count + 1)
+        return {k: total / count for k, (total, count) in sums.items()}
+
+    def total_us_by_op_type(self) -> Dict[str, float]:
+        sums: Dict[str, float] = {}
+        for r in self.records:
+            sums[r.op_type] = sums.get(r.op_type, 0.0) + r.mean_us
+        return sums
+
+
+def reference_profiled_iteration_us(
+    profiles: Iterable[ProfileRecord],
+) -> Dict[Tuple[str, str], float]:
+    """(GPU, model) -> GPU-op means summed in record order, plus CPU-op means."""
+    means: Dict[Tuple[str, str], Tuple[List[float], List[float]]] = {}
+    for r in profiles:
+        means.setdefault((r.gpu_key, r.model), ([], []))[r.device == "CPU"].append(r.mean_us)
+    return {cell: sum(gpu) + sum(cpu) for cell, (gpu, cpu) in means.items()}

@@ -69,8 +69,8 @@ def main():
         print(f"Fig3 {op:38s} winner={winner:5s} margin={margin:5.1%} cat={cat.value}")
     print(f"Fig3 winners: G4={len(g4_wins)}, P3={len(p3_wins)} ({', '.join(p3_wins)})")
 
-    nstd = [r.normalized_std for r in profiles.gpu_records() if r.op_type in heavy]
-    nstd.sort()
+    gpu_records = profiles.gpu_records()
+    nstd = sorted(gpu_records.normalized_std()[gpu_records.op_type_mask(heavy)].tolist())
     print(f"Fig5 p95 normalized std (heavy): {nstd[int(0.95*len(nstd))]:.3f}")
 
     print("Fig6 scaling (inception_v1, D=6400):")
