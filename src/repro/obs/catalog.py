@@ -94,9 +94,8 @@ METRIC_CATALOG: Mapping[str, str] = {
     "profiling.runs": "profiling cells run {gpu=...}",
     "serve.cache": "response LRU lookups {outcome=hit|miss}",
     "serve.cache_dropped": "cached responses dropped by hot swaps",
-    "serve.coalesced": "requests that joined an identical in-flight evaluation",
     "serve.errors": "requests that hit an unexpected internal error",
-    "serve.evaluations": "estimator evaluations run on the serve lane {endpoint=...}",
+    "serve.evaluations": "estimator evaluations run inline on the event loop {endpoint=...}",
     "serve.reloads": "successful snapshot hot swaps",
     "serve.request_us": "request wall-clock latency in microseconds {endpoint=...}",
     "serve.requests": "HTTP requests served {endpoint=...,status=...}",

@@ -9,8 +9,8 @@ profiling — this layer answers it in milliseconds over HTTP):
   of :mod:`repro.requests`, and the response encoders.
 * :mod:`repro.serve.snapshot` — immutable per-generation serving state
   and the atomic hot-swap holder.
-* :mod:`repro.serve.coalesce` — in-flight request coalescing plus the
-  bounded response LRU.
+* :mod:`repro.serve.coalesce` — the bounded, generation-keyed response
+  LRU.
 * :mod:`repro.serve.app` — the ASGI-compatible application object and
   its endpoint handlers.
 * :mod:`repro.serve.http` — a stdlib asyncio HTTP/1.1 server with

@@ -23,21 +23,29 @@ its current generation (see :mod:`repro.cloud.spotsim`), with preemption
 hazards and a ``risk_aversion`` λ folded into the score. Ticks only
 re-rank cached sweep tensors — no graph is recompiled.
 
-Concurrency model: the event loop owns parsing, routing, coalescing, and
-response writing; estimator evaluations run on a **single-worker
-executor lane**. One lane is deliberate — every estimator cache
-(engine LRU, stacked coefficients, plan price grids) is then only ever
-touched from one thread, so the hot path needs no locks, while the event
-loop stays free to accept, coalesce, and serve cache hits at full speed.
-Warm evaluations are sub-millisecond, so one lane sustains hundreds to
-thousands of queries per second; identical concurrent queries never
-queue behind each other at all (they coalesce).
+Concurrency model: the event loop owns every snapshot that requests can
+see. Parsing, routing, the response LRU, every ``/predict``,
+``/recommend`` and ``/pareto`` evaluation, and response writing run
+inline on the loop, one request at a time between ``await`` points, so
+the estimator's lazy caches (engine LRU, stacked coefficients, plan
+price grids, spot re-rank sessions) are only ever touched from one
+thread and need no locks. A warm evaluation is a fraction of a
+millisecond, so a hand-off to a worker thread and back would cost more
+than the work. The price is a stall: a shape the snapshot did not warm
+compiles on the loop, holding every other request for about 7–17 ms
+(perfbench's ``diag.cold_shape_ms``); warming the shapes clients send
+(``repro serve --models/--warm-batches``) keeps that off the request
+path. Because no evaluation suspends, the first request of an identical
+burst caches its answer before the others resume: the burst costs one
+evaluation.
 
 Hot swap: each request captures ``state.holder.current`` exactly once;
 everything it computes uses that snapshot object. ``/admin/reload``
-builds and warms the next generation *on the lane*, then swaps the
-pointer and clears the response cache — in-flight requests finish on the
-old snapshot, new requests see the new one, and nobody is dropped.
+builds and warms the next generation on ``ServeState.executor``, a
+one-worker thread that no request reads from, then swaps the pointer and
+clears the response cache on the loop — a request that captured the old
+snapshot finishes on it, new requests see the new one, and nobody is
+dropped.
 """
 
 from __future__ import annotations
@@ -113,7 +121,8 @@ class ServeState:
             )
         self.holder = SnapshotHolder(initial)
         self.cache = CoalescingCache(cache_size, registry=self.registry)
-        #: The single evaluation lane (see module docstring).
+        #: The reload lane: builds the next snapshot off the event loop
+        #: (see module docstring). No request evaluates here.
         self.executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-eval"
         )
@@ -136,10 +145,9 @@ class ServeState:
         """Load + warm the next generation, then atomically install it.
 
         Serialised by an asyncio lock so concurrent reloads cannot race
-        each other to the swap; the load and warm happen on the
-        evaluation lane, so in-flight evaluations finish first and the
-        event loop keeps answering cache hits and health checks while
-        the new generation warms.
+        each other to the swap; the load and warm happen on the reload
+        lane, so the event loop keeps answering requests on the live
+        generation while the next one warms.
         """
         async with self.reload_lock:
             source = path if path is not None else self.default_path
@@ -163,7 +171,7 @@ class ServeState:
         self.executor.shutdown(wait=True)
 
 
-# -- evaluation thunks (run on the lane, one snapshot each) --------------
+# -- evaluation thunks (run on the event loop, one snapshot each) --------
 def _predict_thunk(snapshot: ServingSnapshot, req: PredictRequest) -> Dict[str, object]:
     estimator = cast(CeerEstimator, snapshot.estimator)
     prediction = estimator.predict_training(
@@ -195,10 +203,9 @@ def _spot_recommend_thunk(
 ) -> Dict[str, object]:
     """Spot-scenario recommendation: incremental re-rank, no re-sweep.
 
-    The (generation, ratios, hazards) triple was captured atomically on
-    the event loop; this thunk never touches the live market, so a tick
-    racing the evaluation cannot produce a ranking that mixes two
-    generations' prices.
+    The (generation, ratios, hazards) triple was captured atomically
+    with the request; this thunk never touches the live market, so its
+    ranking never mixes two generations' prices.
     """
     session = cast(
         SpotRerankSession, snapshot.spot_session_for(req.model, req.job())
@@ -368,26 +375,24 @@ class ServeApp:
             return 200, {"_text": _prometheus_text(document)}
         return 200, cast(Dict[str, object], document)
 
-    async def _evaluate(
+    def _evaluate(
         self, endpoint: str, fingerprint: str,
         thunk: Callable[[], Dict[str, object]],
     ) -> Tuple[int, Dict[str, object]]:
         key = f"{self.state.holder.generation}:{fingerprint}"
-        loop = asyncio.get_running_loop()
 
-        async def compute() -> Dict[str, object]:
+        def compute() -> Dict[str, object]:
             self.state.registry.counter(
                 "serve.evaluations", endpoint=endpoint
             ).inc()
-            return await loop.run_in_executor(self.state.executor, thunk)
+            return thunk()
 
-        document = await self.state.cache.get_or_compute(key, compute)
-        return 200, cast(Dict[str, object], document)
+        return 200, self.state.cache.get_or_compute(key, compute)
 
     async def _predict(self, query: bytes, receive: Any) -> Tuple[int, Dict[str, object]]:
         req = parse_predict(await self._json_body(receive))
         snapshot = self.state.holder.current
-        return await self._evaluate(
+        return self._evaluate(
             "predict", req.fingerprint(), partial(_predict_thunk, snapshot, req)
         )
 
@@ -403,13 +408,13 @@ class ServeApp:
             spot_generation = market.generation
             ratios = market.ratios()
             hazards = market.hazards_per_hr()
-            return await self._evaluate(
+            return self._evaluate(
                 "recommend",
                 f"spot{spot_generation}:{req.fingerprint()}",
                 partial(_spot_recommend_thunk, snapshot, req,
                         spot_generation, ratios, hazards),
             )
-        return await self._evaluate(
+        return self._evaluate(
             "recommend", req.fingerprint(),
             partial(_recommend_thunk, snapshot, req),
         )
@@ -417,7 +422,7 @@ class ServeApp:
     async def _pareto(self, query: bytes, receive: Any) -> Tuple[int, Dict[str, object]]:
         req = parse_pareto(await self._json_body(receive))
         snapshot = self.state.holder.current
-        return await self._evaluate(
+        return self._evaluate(
             "pareto", req.fingerprint(), partial(_pareto_thunk, snapshot, req)
         )
 

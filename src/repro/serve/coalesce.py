@@ -1,32 +1,25 @@
-"""Request coalescing and the bounded response LRU.
+"""The bounded response LRU the serving app answers repeated requests from.
 
-Two layers stand between an incoming request and an estimator
-evaluation, both keyed on the request's canonical fingerprint (prefixed
+Responses are keyed on the request's canonical fingerprint, prefixed
 with the live snapshot generation, so answers from different estimator
-generations can never alias):
+generations can never alias. A hit costs a dict move-to-end.
 
-* the **response LRU** — a bounded ``OrderedDict`` of finished response
-  documents. A hit costs a dict move-to-end; the evaluation lane is
-  never touched.
-* the **in-flight map** — fingerprint -> ``asyncio.Future`` for
-  evaluations currently running. Concurrent identical requests attach to
-  the first one's future instead of evaluating again: a burst of N
-  identical queries performs exactly one evaluation, and N-1 awaits.
+Identical concurrent requests still cost exactly one evaluation, with no
+in-flight map: evaluations run inline on the event loop and never
+suspend, so the first request of a burst inserts its answer before any
+other request of the burst resumes, and those read it as hits.
 
-Failures are never cached: an evaluation that raises propagates the
-exception to every coalesced waiter and leaves no entry behind, so the
-next request retries cleanly.
+Failures are never cached: an evaluation that raises leaves no entry
+behind, so the next request evaluates again.
 
 The cache is single-loop state — every touch happens on the event-loop
-thread — so it needs no lock; the evaluation itself runs in the server's
-one-worker executor lane (see :mod:`repro.serve.app`).
+thread — so it needs no lock (see :mod:`repro.serve.app`).
 """
 
 from __future__ import annotations
 
-import asyncio
 from collections import OrderedDict
-from typing import Any, Awaitable, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.obs.metrics import MetricsRegistry, default_registry
 
@@ -34,7 +27,7 @@ __all__ = ["CoalescingCache"]
 
 
 class CoalescingCache:
-    """Bounded response LRU + in-flight future map (event-loop local)."""
+    """Bounded response LRU (event-loop local)."""
 
     def __init__(
         self,
@@ -45,73 +38,33 @@ class CoalescingCache:
             raise ValueError(f"cache maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
         self._lru: "OrderedDict[str, Any]" = OrderedDict()
-        self._inflight: Dict[str, "asyncio.Future[Any]"] = {}
         self._registry = registry if registry is not None else default_registry()
 
-    # -- introspection ---------------------------------------------------
     def __len__(self) -> int:
         return len(self._lru)
 
-    @property
-    def inflight(self) -> int:
-        return len(self._inflight)
-
     def stats(self) -> Dict[str, int]:
-        return {"entries": len(self._lru), "inflight": len(self._inflight),
-                "maxsize": self.maxsize}
+        return {"entries": len(self._lru), "maxsize": self.maxsize}
 
-    # -- the request path ------------------------------------------------
-    async def get_or_compute(
-        self, key: str, compute: Callable[[], Awaitable[Any]]
-    ) -> Any:
-        """The response for ``key``: cached, coalesced, or computed once.
+    def get_or_compute(self, key: str, compute: Callable[[], Any]) -> Any:
+        """The response for ``key``: cached, or computed and inserted.
 
-        ``compute`` is only awaited by the *first* caller for a key;
-        everyone else either reads the LRU or awaits the first caller's
-        future. The winner inserts the result into the LRU (evicting the
-        least-recently-used entry past ``maxsize``) before resolving the
-        future, so a waiter never observes a missing cache entry for a
-        key it just coalesced on.
+        Inserting evicts the least-recently-used entry past ``maxsize``.
+        An exception from ``compute`` propagates and inserts nothing.
         """
-        cached = self._lru.get(key)
-        if cached is not None or key in self._lru:
+        if key in self._lru:
             self._lru.move_to_end(key)
             self._registry.counter("serve.cache", outcome="hit").inc()
             return self._lru[key]
-        pending = self._inflight.get(key)
-        if pending is not None:
-            self._registry.counter("serve.coalesced").inc()
-            return await asyncio.shield(pending)
         self._registry.counter("serve.cache", outcome="miss").inc()
-        future: "asyncio.Future[Any]" = asyncio.get_running_loop().create_future()
-        self._inflight[key] = future
-        try:
-            value = await compute()
-        except BaseException as exc:
-            self._inflight.pop(key, None)
-            if not future.done():
-                future.set_exception(exc)
-                # Waiters (if any) re-raise from the future; touching the
-                # exception here keeps "exception never retrieved" noise
-                # out of the logs when nobody coalesced.
-                future.exception()
-            raise
-        self._inflight.pop(key, None)
-        self._insert(key, value)
-        if not future.done():
-            future.set_result(value)
+        value = compute()
+        self._lru[key] = value
+        if len(self._lru) > self.maxsize:
+            self._lru.popitem(last=False)
         return value
 
-    def _insert(self, key: str, value: Any) -> None:
-        self._lru[key] = value
-        self._lru.move_to_end(key)
-        while len(self._lru) > self.maxsize:
-            self._lru.popitem(last=False)
-
     def clear(self) -> int:
-        """Drop every cached response (hot swap); in-flight entries are
-        left to finish — they were keyed under the old generation and can
-        no longer be joined by new requests."""
+        """Drop every cached response (hot swap); returns how many."""
         dropped = len(self._lru)
         self._lru.clear()
         return dropped

@@ -60,8 +60,8 @@ class ServingSnapshot:
         self._plans: Dict[Tuple[Tuple[int, ...], str], object] = {}
         #: (model, batch, samples, epochs) -> SpotRerankSession; the
         #: expensive base sweep runs once per workload, then every price
-        #: tick re-ranks it in O(candidates). Only ever touched from the
-        #: single evaluation lane, like ``_plans``.
+        #: tick re-ranks it in O(candidates). Like ``_plans``, filled and
+        #: read only on the event loop once the snapshot is served.
         self._spot_sessions: Dict[Tuple[str, TrainingJob], object] = {}
 
     def plan_for(self, batches: Tuple[int, ...], pricing_name: str,

@@ -87,3 +87,12 @@ def counter_total(registry: MetricsRegistry, name: str) -> float:
         for record in registry.snapshot()
         if record["name"] == name and record["type"] == "counter"
     )
+
+
+def cache_outcomes(registry: MetricsRegistry) -> Dict[str, float]:
+    """``serve.cache`` lookups counted by outcome (``hit``/``miss``)."""
+    return {
+        str(record["labels"]["outcome"]): float(record["value"])
+        for record in registry.snapshot()
+        if record["name"] == "serve.cache"
+    }

@@ -1,10 +1,16 @@
 """The ASGI application: endpoints, error mapping, coalescing, hot swap."""
 
 import asyncio
+import threading
 
 import pytest
 
-from tests.serve.conftest import asgi_request, counter_total, request
+from tests.serve.conftest import (
+    asgi_request,
+    cache_outcomes,
+    counter_total,
+    request,
+)
 
 
 class TestEndpoints:
@@ -149,7 +155,7 @@ class TestCoalescing:
         assert all(doc == docs[0] for doc in docs)
         registry = serve_app.state.registry
         assert counter_total(registry, "serve.evaluations") == 1
-        assert counter_total(registry, "serve.coalesced") == 19
+        assert cache_outcomes(registry) == {"miss": 1, "hit": 19}
 
     def test_repeat_request_is_an_lru_hit(self, serve_app):
         body = {"model": "alexnet", "gpu": "K80"}
@@ -161,6 +167,53 @@ class TestCoalescing:
                 if r["name"] == "serve.cache"
                 and r["labels"].get("outcome") == "hit"]
         assert hits and hits[0]["value"] == 1
+
+    def test_failed_evaluation_is_not_cached(self, serve_app):
+        body = {"model": "not_a_net", "gpu": "V100"}
+        first, _ = request(serve_app, "POST", "/predict", body)
+        second, _ = request(serve_app, "POST", "/predict", body)
+        assert first == second == 422
+        registry = serve_app.state.registry
+        assert counter_total(registry, "serve.evaluations") == 2
+        assert cache_outcomes(registry) == {"miss": 2}
+
+
+class TestThreads:
+    def test_evaluations_run_on_the_loop_and_reloads_on_the_executor(
+        self, serve_app, monkeypatch
+    ):
+        from repro.serve import app as app_module
+
+        seen = {"predict": [], "load": []}
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                seen[name].append(threading.get_ident())
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(app_module, "_predict_thunk",
+                            recording("predict", app_module._predict_thunk))
+        monkeypatch.setattr(app_module, "load_snapshot",
+                            recording("load", app_module.load_snapshot))
+
+        async def scenario():
+            statuses = [
+                (await asgi_request(serve_app, "POST", "/predict",
+                                    {"model": "alexnet", "gpu": gpu}))[0]
+                for gpu in ("V100", "K80")
+            ]
+            statuses.append((await asgi_request(
+                serve_app, "POST", "/admin/reload", {}))[0])
+            return threading.get_ident(), statuses
+
+        loop_thread, statuses = asyncio.run(scenario())
+        lane_thread = serve_app.state.executor.submit(
+            threading.get_ident).result(timeout=10)
+        assert statuses == [200, 200, 200]
+        assert seen["predict"] == [loop_thread, loop_thread]
+        assert seen["load"] == [lane_thread]
+        assert lane_thread != loop_thread
 
 
 class TestReload:

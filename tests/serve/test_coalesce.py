@@ -1,6 +1,4 @@
-"""The response LRU + in-flight coalescing map, in isolation."""
-
-import asyncio
+"""The response LRU, in isolation."""
 
 import pytest
 
@@ -16,153 +14,59 @@ def _cache(maxsize=4):
 
 class TestLru:
     def test_miss_then_hit(self):
-        async def scenario():
-            cache = _cache()
-            calls = []
+        cache = _cache()
+        calls = []
 
-            async def compute():
-                calls.append(1)
-                return "value"
+        def compute():
+            calls.append(1)
+            return "value"
 
-            first = await cache.get_or_compute("k", compute)
-            second = await cache.get_or_compute("k", compute)
-            return cache, calls, first, second
-
-        cache, calls, first, second = asyncio.run(scenario())
+        first = cache.get_or_compute("k", compute)
+        second = cache.get_or_compute("k", compute)
         assert first == second == "value"
         assert calls == [1]
         assert counter_total(cache._registry, "serve.cache") == 2  # miss + hit
 
     def test_eviction_is_least_recently_used(self):
-        async def scenario():
-            cache = _cache(maxsize=2)
+        cache = _cache(maxsize=2)
+        cache.get_or_compute("a", lambda: 1)
+        cache.get_or_compute("b", lambda: 2)
+        cache.get_or_compute("a", lambda: 1)  # refresh "a"
+        cache.get_or_compute("c", lambda: 3)  # evicts "b"
+        recomputed = []
 
-            async def make(value):
-                async def compute():
-                    return value
-                return compute
+        def recompute():
+            recomputed.append(1)
+            return 2
 
-            await cache.get_or_compute("a", await make(1))
-            await cache.get_or_compute("b", await make(2))
-            await cache.get_or_compute("a", await make(1))  # refresh "a"
-            await cache.get_or_compute("c", await make(3))  # evicts "b"
-            recomputed = []
-
-            async def recompute():
-                recomputed.append(1)
-                return 2
-
-            await cache.get_or_compute("b", recompute)
-            return recomputed
-
-        assert asyncio.run(scenario()) == [1]
+        cache.get_or_compute("b", recompute)
+        assert recomputed == [1]
 
     def test_clear_drops_lru_and_reports_count(self):
-        async def scenario():
-            cache = _cache()
-
-            async def compute():
-                return 1
-
-            await cache.get_or_compute("a", compute)
-            await cache.get_or_compute("b", compute)
-            dropped = cache.clear()
-            return dropped, len(cache)
-
-        assert asyncio.run(scenario()) == (2, 0)
+        cache = _cache()
+        cache.get_or_compute("a", lambda: 1)
+        cache.get_or_compute("b", lambda: 1)
+        assert (cache.clear(), len(cache)) == (2, 0)
 
     def test_rejects_zero_maxsize(self):
         with pytest.raises(ValueError):
             CoalescingCache(0, registry=MetricsRegistry())
 
-
-class TestCoalescing:
-    def test_concurrent_identical_keys_compute_once(self):
-        async def scenario():
-            cache = _cache()
-            calls = []
-            release = asyncio.Event()
-
-            async def compute():
-                calls.append(1)
-                await release.wait()
-                return "shared"
-
-            tasks = [
-                asyncio.ensure_future(cache.get_or_compute("k", compute))
-                for _ in range(20)
-            ]
-            await asyncio.sleep(0)  # everyone joins the in-flight future
-            release.set()
-            results = await asyncio.gather(*tasks)
-            return cache, calls, results
-
-        cache, calls, results = asyncio.run(scenario())
-        assert calls == [1]
-        assert results == ["shared"] * 20
-        assert counter_total(cache._registry, "serve.coalesced") == 19
-        assert cache.inflight == 0
-
-    def test_distinct_keys_do_not_coalesce(self):
-        async def scenario():
-            cache = _cache()
-            calls = []
-
-            async def make(key):
-                async def compute():
-                    calls.append(key)
-                    return key
-                return cache.get_or_compute(key, compute)
-
-            await asyncio.gather(await make("a"), await make("b"))
-            return cache, calls
-
-        cache, calls = asyncio.run(scenario())
-        assert sorted(calls) == ["a", "b"]
-        assert counter_total(cache._registry, "serve.coalesced") == 0
-
     def test_failures_propagate_and_are_not_cached(self):
-        async def scenario():
-            cache = _cache()
-            attempts = []
+        cache = _cache()
+        attempts = []
 
-            async def boom():
-                attempts.append(1)
-                raise RuntimeError("lane failure")
+        def boom():
+            attempts.append(1)
+            raise RuntimeError("evaluation failure")
 
-            async def fine():
-                attempts.append(2)
-                return "ok"
+        def fine():
+            attempts.append(2)
+            return "ok"
 
-            with pytest.raises(RuntimeError):
-                await cache.get_or_compute("k", boom)
-            # the failure must not poison the key: next caller recomputes
-            value = await cache.get_or_compute("k", fine)
-            return attempts, value, len(cache)
-
-        attempts, value, entries = asyncio.run(scenario())
+        with pytest.raises(RuntimeError):
+            cache.get_or_compute("k", boom)
+        # the failure must not poison the key: next caller recomputes
+        assert cache.get_or_compute("k", fine) == "ok"
         assert attempts == [1, 2]
-        assert value == "ok"
-        assert entries == 1
-
-    def test_coalesced_waiters_see_the_winners_failure(self):
-        async def scenario():
-            cache = _cache()
-            release = asyncio.Event()
-
-            async def boom():
-                await release.wait()
-                raise RuntimeError("shared failure")
-
-            tasks = [
-                asyncio.ensure_future(cache.get_or_compute("k", boom))
-                for _ in range(3)
-            ]
-            await asyncio.sleep(0)
-            release.set()
-            results = await asyncio.gather(*tasks, return_exceptions=True)
-            return results, cache.inflight
-
-        results, inflight = asyncio.run(scenario())
-        assert all(isinstance(r, RuntimeError) for r in results)
-        assert inflight == 0
+        assert len(cache) == 1

@@ -6,7 +6,12 @@ import asyncio
 
 import pytest
 
-from tests.serve.conftest import asgi_request, counter_total, request
+from tests.serve.conftest import (
+    asgi_request,
+    cache_outcomes,
+    counter_total,
+    request,
+)
 
 SPOT_BODY = {"model": "alexnet", "batch": 32, "scenario": "spot"}
 
@@ -57,8 +62,10 @@ class TestSpotRecommend:
         assert all(status == 200 for status, _ in results)
         docs = [doc for _, doc in results]
         assert all(doc == docs[0] for doc in docs)
-        # One evaluation served the whole burst; the rest coalesced.
-        assert counter_total(serve_app.state.registry, "serve.coalesced") == 5
+        # One evaluation served the whole burst; the rest hit its answer.
+        registry = serve_app.state.registry
+        assert counter_total(registry, "serve.evaluations") == 1
+        assert cache_outcomes(registry) == {"miss": 1, "hit": 5}
 
 
 class TestSpotTick:
