@@ -33,16 +33,6 @@ def test_bench_estimator_choice_study(benchmark, emit):
     assert set(result.errors) == {"median", "mean"}
 
 
-def test_bench_transformer_study(benchmark, emit):
-    from repro.experiments import run_transformer_study
-
-    result = benchmark.pedantic(run_transformer_study, rounds=1, iterations=1)
-    emit("extension_transformer", result.render())
-    assert result.strict_raises
-    updated = result.errors["after learn_model on one Transformer"]
-    assert updated < 0.15
-
-
 def test_bench_batch_size_study(benchmark, emit):
     from repro.experiments import run_batch_size_study
 
@@ -50,12 +40,3 @@ def test_bench_batch_size_study(benchmark, emit):
     emit("extension_batch_size", result.render())
     assert all(error < 0.12 for error in result.errors.values())
 
-
-def test_bench_rnn_study(benchmark, emit):
-    from repro.experiments import run_rnn_study
-
-    result = benchmark.pedantic(run_rnn_study, rounds=1, iterations=1)
-    emit("extension_rnn", result.render())
-    before = result.errors["CNN-trained Ceer (fallback)"]
-    after = result.errors["after learn_model on one LSTM"]
-    assert after < before / 5

@@ -28,9 +28,9 @@ PREDICTION_FLOOR_US = 1.0
 
 #: Extrapolation guard: predictions are clipped to this multiple of the
 #: largest training observation. Quadratic fits in particular can explode
-#: when queried far outside the fitted input range (e.g. pricing a
-#: Transformer's matmuls with CNN-trained models); a clipped estimate is
-#: wrong but bounded, which keeps downstream recommendations sane.
+#: when queried far outside the fitted input range (e.g. an op far larger
+#: than any profiled one); a clipped estimate is wrong but bounded, which
+#: keeps downstream recommendations sane.
 EXTRAPOLATION_CLIP_FACTOR = 10.0
 
 

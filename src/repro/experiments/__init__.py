@@ -37,16 +37,12 @@ from repro.experiments.ext_transfer_logo import (
 from repro.experiments.extensions import (
     BatchSizeStudyResult,
     EstimatorChoiceResult,
-    RnnStudyResult,
     MultiHostResult,
     SensitivityResult,
-    TransformerStudyResult,
     run_batch_size_study,
     run_estimator_choice_study,
     run_multihost_study,
-    run_rnn_study,
     run_sensitivity_study,
-    run_transformer_study,
 )
 
 __all__ = [
@@ -56,12 +52,8 @@ __all__ = [
     "run_multihost_study",
     "run_sensitivity_study",
     "run_estimator_choice_study",
-    "run_transformer_study",
-    "TransformerStudyResult",
     "run_batch_size_study",
     "BatchSizeStudyResult",
-    "run_rnn_study",
-    "RnnStudyResult",
     "run_spot_dynamics",
     "SpotDynamicsResult",
     "run_transfer_logo",

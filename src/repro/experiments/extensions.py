@@ -12,11 +12,6 @@ discusses in prose:
 * **Median-vs-mean light/CPU estimator** (Section IV-B): the paper picks
   the sample median "to avoid the unfair impact of possible outliers";
   this study measures what the mean would have cost.
-* **Transformers** (Section VI's closing future-work note): a CNN-trained
-  Ceer cannot price a Transformer — its core kernels (``BatchMatMul``,
-  ``LayerNorm``, ``Gelu``) were never profiled — but one
-  :func:`~repro.core.update.learn_model` update on a single Transformer
-  restores accuracy on *other* Transformer configurations.
 * **Batch-size generalisation**: the paper fits and evaluates everything
   at batch 32; because Ceer's features are sizes, its predictions remain
   accurate at batch sizes it never profiled.
@@ -192,102 +187,6 @@ def run_sensitivity_study(
 
 
 # ---------------------------------------------------------------------------
-# transformers (future work of Section VI)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TransformerStudyResult:
-    """Ceer on Transformers: before and after the unseen-op update."""
-
-    learned_from: str
-    evaluated_on: Tuple[str, ...]
-    #: estimator tag -> mean per-iteration error on held-out transformers
-    errors: Dict[str, float]
-    strict_raises: bool
-
-    def render(self) -> str:
-        lines = [
-            "Extension - Ceer on Transformers (paper Section VI future work)",
-            f"  strict CNN-trained Ceer raises UnseenOperationError: "
-            f"{self.strict_raises}",
-            f"  learned from: transformer_{self.learned_from}; evaluated on: "
-            + ", ".join(f"transformer_{p}" for p in self.evaluated_on),
-        ]
-        for tag, err in self.errors.items():
-            lines.append(f"  {tag}: {err:.1%} mean per-iteration error")
-        return "\n".join(lines)
-
-
-@traced("experiments.ext.transformer")
-def run_transformer_study(
-    learn_preset: str = "small",
-    eval_presets: Sequence[str] = ("tiny", "mini", "medium"),
-    n_iterations: int = 150,
-    seq_len: int = 64,
-    batch_size: int = 16,
-    workspace: Optional[Workspace] = None,
-) -> TransformerStudyResult:
-    """Evaluate Ceer on Transformer encoders before/after an update.
-
-    The update profiles exactly one Transformer preset; accuracy is then
-    measured on the *other* presets (different depth/width), so the study
-    tests generalisation of the newly-fitted op models, not memorisation.
-    """
-    from repro.errors import UnseenOperationError
-    from repro.models.transformer import build_transformer
-    from repro.core.update import extend_ceer
-    from repro.profiling.profiler import Profiler
-    from repro.workloads.dataset import DatasetSpec, TrainingJob
-
-    job = TrainingJob(DatasetSpec("nlp-corpus", 1_000_000), batch_size=batch_size)
-    profiles = training_profiles(n_iterations, workspace=workspace)
-    cnn_fitted = fit_ceer(n_iterations=n_iterations, train_profiles=profiles)
-
-    # 1. Strict mode: prediction must fail (the paper's stated limitation).
-    strict_fitted = fit_ceer(
-        n_iterations=n_iterations, train_profiles=profiles, strict_unseen=True
-    )
-    probe = build_transformer("tiny", batch_size=batch_size, seq_len=seq_len)
-    try:
-        strict_fitted.estimator.predict_iteration_us(probe, "V100", 1)
-        strict_raises = False
-    except UnseenOperationError:
-        strict_raises = True
-
-    # 2. Update with one transformer's profiles (Section IV-D's remedy).
-    learn_graph = build_transformer(
-        learn_preset, batch_size=batch_size, seq_len=seq_len
-    )
-    new_profiles = Profiler(
-        n_iterations=n_iterations, batch_size=batch_size
-    ).profile_many([learn_graph], list(GPU_KEYS))
-    updated = extend_ceer(cnn_fitted, new_profiles)
-
-    def _errors(estimator: CeerEstimator) -> float:
-        values: List[float] = []
-        for preset in eval_presets:
-            graph = build_transformer(preset, batch_size=batch_size, seq_len=seq_len)
-            for gpu_key in GPU_KEYS:
-                obs = measure_training(
-                    graph, gpu_key, 1, job, n_profile_iterations=n_iterations,
-                    seed_context="transformer-eval",
-                ).per_iteration_us
-                pred = estimator.predict_iteration_us(graph, gpu_key, 1)
-                values.append(abs(pred - obs) / obs)
-        return sum(values) / len(values)
-
-    return TransformerStudyResult(
-        learned_from=learn_preset,
-        evaluated_on=tuple(eval_presets),
-        errors={
-            "CNN-trained Ceer (light-median fallback)": _errors(cnn_fitted.estimator),
-            "after learn_model on one Transformer": _errors(updated.estimator),
-        },
-        strict_raises=strict_raises,
-    )
-
-
-# ---------------------------------------------------------------------------
 # median-vs-mean light/CPU estimator
 # ---------------------------------------------------------------------------
 
@@ -417,88 +316,3 @@ def run_batch_size_study(
                 values.append(abs(pred - obs) / obs)
         errors[batch] = sum(values) / len(values)
     return BatchSizeStudyResult(fitted_batch=fitted_batch, errors=errors)
-
-
-# ---------------------------------------------------------------------------
-# RNNs (the other half of Section VI's future-work note)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RnnStudyResult:
-    """Ceer on unrolled LSTMs: before and after the unseen-op update."""
-
-    learned_from: str
-    evaluated_on: Tuple[str, ...]
-    errors: Dict[str, float]
-    #: observed V100/T4 per-iteration ratio — LSTMs are launch-bound small
-    #: kernels, so the big GPU's advantage can invert.
-    v100_over_t4_time_ratio: float
-
-    def render(self) -> str:
-        lines = [
-            "Extension - Ceer on RNNs/LSTMs (paper Section VI future work)",
-            f"  learned from: lstm_{self.learned_from}; evaluated on: "
-            + ", ".join(f"lstm_{p}" for p in self.evaluated_on),
-            f"  observed V100/T4 per-iteration time ratio: "
-            f"{self.v100_over_t4_time_ratio:.2f}x "
-            f"({'V100 slower - launch-bound!' if self.v100_over_t4_time_ratio > 1 else 'V100 faster'})",
-        ]
-        for tag, err in self.errors.items():
-            lines.append(f"  {tag}: {err:.1%} mean per-iteration error")
-        return "\n".join(lines)
-
-
-@traced("experiments.ext.rnn")
-def run_rnn_study(
-    learn_preset: str = "small",
-    eval_presets: Sequence[str] = ("medium", "large"),
-    n_iterations: int = 150,
-    seq_len: int = 32,
-    batch_size: int = 16,
-    workspace: Optional[Workspace] = None,
-) -> RnnStudyResult:
-    """Evaluate Ceer on stacked LSTMs before/after an unseen-op update."""
-    from repro.models.lstm import build_lstm
-    from repro.core.update import extend_ceer
-    from repro.profiling.profiler import Profiler
-    from repro.workloads.dataset import DatasetSpec, TrainingJob
-
-    job = TrainingJob(DatasetSpec("nlp-corpus", 1_000_000), batch_size=batch_size)
-    profiles = training_profiles(n_iterations, workspace=workspace)
-    cnn_fitted = fit_ceer(n_iterations=n_iterations, train_profiles=profiles)
-
-    learn_graph = build_lstm(learn_preset, batch_size=batch_size, seq_len=seq_len)
-    new_profiles = Profiler(
-        n_iterations=n_iterations, batch_size=batch_size
-    ).profile_many([learn_graph], list(GPU_KEYS))
-    updated = extend_ceer(cnn_fitted, new_profiles)
-
-    observed: Dict[Tuple[str, str], float] = {}
-    for preset in eval_presets:
-        graph = build_lstm(preset, batch_size=batch_size, seq_len=seq_len)
-        for gpu_key in GPU_KEYS:
-            observed[(preset, gpu_key)] = measure_training(
-                graph, gpu_key, 1, job, n_profile_iterations=n_iterations,
-                seed_context="rnn-eval",
-            ).per_iteration_us
-
-    def _errors(estimator: CeerEstimator) -> float:
-        values: List[float] = []
-        for preset in eval_presets:
-            graph = build_lstm(preset, batch_size=batch_size, seq_len=seq_len)
-            for gpu_key in GPU_KEYS:
-                pred = estimator.predict_iteration_us(graph, gpu_key, 1)
-                obs = observed[(preset, gpu_key)]
-                values.append(abs(pred - obs) / obs)
-        return sum(values) / len(values)
-
-    anchor = eval_presets[0]
-    return RnnStudyResult(
-        learned_from=learn_preset,
-        evaluated_on=tuple(eval_presets),
-        errors={
-            "CNN-trained Ceer (fallback)": _errors(cnn_fitted.estimator),
-            "after learn_model on one LSTM": _errors(updated.estimator),
-        },
-        v100_over_t4_time_ratio=observed[(anchor, "V100")] / observed[(anchor, "T4")],
-    )

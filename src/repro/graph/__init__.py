@@ -7,8 +7,6 @@ input pipeline) with fully resolved shapes — the interface Ceer consumes.
 """
 
 from repro.graph.builder import GraphBuilder
-from repro.graph.recurrent import RecurrentGraphBuilder
-from repro.graph.sequence import SequenceGraphBuilder
 from repro.graph.flops import flop_count, graph_flops, memory_bytes
 from repro.graph.graph import OpGraph
 from repro.graph.layers import TensorRef, VariableSpec
@@ -31,8 +29,6 @@ from repro.graph.shapes import TensorShape, conv_output_hw, dtype_size, total_by
 
 __all__ = [
     "GraphBuilder",
-    "SequenceGraphBuilder",
-    "RecurrentGraphBuilder",
     "OpGraph",
     "Operation",
     "OpDef",

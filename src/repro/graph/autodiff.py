@@ -308,8 +308,7 @@ def _pad_backward(
     _propagate(builder, state, x, dx, input_key)
 
 
-#: Per-kind backward emitter signature; extension builders (sequence,
-#: recurrent) register additional kinds at import time.
+#: Per-kind backward emitter signature.
 BackwardFn = Callable[
     ["GraphBuilder", TapeEntry, TensorRef, str, _GradState,
      Dict[str, TensorRef], Optional[Tuple[str, int]]],

@@ -89,32 +89,6 @@ def _matmul_flops(op: Operation) -> int:
     return 2 * out.num_elements * shared
 
 
-def _batch_matmul_flops(op: Operation) -> int:
-    """2 * B * M * K * N for batched matmuls, robust to transposed layouts.
-
-    As with :func:`_matmul_flops`, the contracted dimension is recovered
-    from element counts: for any (B,M,K)-by-(B,K,N)-to-(B,M,N) product (up
-    to per-operand transposes), ``|a| * |b| / (|out| * B)`` is the square
-    of the contracted dimension.
-    """
-    if len(op.inputs) < 2 or op.inputs[0].rank != 3 or op.inputs[1].rank != 3:
-        raise ShapeError(f"BatchMatMul {op.name!r} needs two rank-3 inputs")
-    a, b = op.inputs[0], op.inputs[1]
-    out = op.outputs[0]
-    batch = a.dims[0]
-    if b.dims[0] != batch or out.dims[0] != batch:
-        raise ShapeError(
-            f"BatchMatMul {op.name!r} batch dims disagree: {a} x {b} -> {out}"
-        )
-    shared_sq, rem = divmod(a.num_elements * b.num_elements, out.num_elements * batch)
-    shared = math.isqrt(shared_sq)
-    if rem or shared * shared != shared_sq:
-        raise ShapeError(
-            f"BatchMatMul {op.name!r} shapes are inconsistent: {a} x {b} -> {out}"
-        )
-    return 2 * out.num_elements * shared
-
-
 def _pool_flops(op: Operation) -> int:
     """One op (compare or add) per window element per output element."""
     window = op.attrs.get("kernel", (2, 2))
@@ -158,7 +132,6 @@ _FLOP_FNS: Dict[str, Callable[[Operation], int]] = {
     "Conv2DBackpropInput": _conv2d_flops,
     "Conv2DBackpropFilter": _conv2d_flops,
     "MatMul": _matmul_flops,
-    "BatchMatMul": _batch_matmul_flops,
     "MaxPool": _pool_flops,
     "MaxPoolGrad": _pool_flops,
     "AvgPool": _pool_flops,
@@ -167,8 +140,6 @@ _FLOP_FNS: Dict[str, Callable[[Operation], int]] = {
     "FusedBatchNormGradV3": _batchnorm_flops,
     "LRN": _lrn_flops,
     "LRNGrad": _lrn_flops,
-    "LayerNorm": _batchnorm_flops,
-    "LayerNormGrad": _batchnorm_flops,
     "Relu": _elementwise_flops,
     "ReluGrad": _elementwise_flops,
     "BiasAdd": _elementwise_flops,
@@ -177,33 +148,19 @@ _FLOP_FNS: Dict[str, Callable[[Operation], int]] = {
     "AddN": _elementwise_flops,
     "ConcatV2": _zero_flops,
     "ConcatGrad": _zero_flops,
-    "Softmax": _softmax_flops,
     "SparseSoftmaxCrossEntropyWithLogits": _softmax_flops,
     "Mul": _elementwise_flops,
-    "Sub": _elementwise_flops,
     "Mean": _elementwise_flops,
     "Pad": _zero_flops,
-    "Tanh": _softmax_flops,
-    "Gelu": _softmax_flops,
-    "GeluGrad": _softmax_flops,
-    "Sigmoid": _softmax_flops,
-    "SigmoidGrad": _elementwise_flops,
-    "SoftmaxGrad": _elementwise_flops,
     "ApplyMomentum": _optimizer_flops,
     "ApplyGradientDescent": _optimizer_flops,
-    "Identity": _zero_flops,
     "Reshape": _zero_flops,
-    "Squeeze": _zero_flops,
     "Slice": _zero_flops,
-    "Transpose": _zero_flops,
-    "Gather": _zero_flops,
-    "Scatter": _zero_flops,
     "IteratorGetNext": _zero_flops,
     "DecodeAndResize": _elementwise_flops,
     "SparseToDense": _zero_flops,
     "OneHot": _zero_flops,
     "Cast": _elementwise_flops,
-    "Shape": _zero_flops,
 }
 
 

@@ -52,7 +52,7 @@ class TapeEntry:
     Attributes:
         kind: layer primitive kind — one of ``conv``, ``pool``, ``lrn``,
             ``dense``, ``concat``, ``add``, ``dropout``, ``reshape``,
-            ``global_avg_pool``, ``pad``, ``activation``.
+            ``global_avg_pool``, ``pad``.
         inputs: forward-input refs (activations only; variables are in
             ``variables``).
         output: the final forward output ref of this step.
@@ -78,15 +78,14 @@ class TapeEntry:
 
 
 #: Activation function names the builder accepts. ``None`` means linear.
-SUPPORTED_ACTIVATIONS = ("relu", "tanh", "gelu", "sigmoid", None)
+SUPPORTED_ACTIVATIONS = ("relu", None)
 
 
 def activation_op_type(activation: Optional[str]) -> Optional[str]:
     """Map an activation name to its forward op type (``None`` -> no op)."""
     if activation is None:
         return None
-    mapping = {"relu": "Relu", "tanh": "Tanh", "gelu": "Gelu",
-               "sigmoid": "Sigmoid"}
+    mapping = {"relu": "Relu"}
     if activation not in mapping:
         raise ValueError(
             f"unsupported activation {activation!r}; expected one of {SUPPORTED_ACTIVATIONS}"
@@ -95,7 +94,5 @@ def activation_op_type(activation: Optional[str]) -> Optional[str]:
 
 
 def activation_grad_op_type(activation: str) -> str:
-    """Backward op type for an activation. Tanh has no dedicated fused grad
-    kernel in our registry; its gradient lowers to an elementwise ``Mul``."""
-    return {"relu": "ReluGrad", "tanh": "Mul", "gelu": "GeluGrad",
-            "sigmoid": "SigmoidGrad"}[activation]
+    """Backward op type for an activation."""
+    return {"relu": "ReluGrad"}[activation]

@@ -108,8 +108,6 @@ def _register_all() -> None:
               description="gradient of Conv2D w.r.t. its filters"),
         OpDef("MatMul", OpCategory.CONV_COMPUTE,
               description="dense matrix multiply (fully-connected layers)"),
-        OpDef("BatchMatMul", OpCategory.CONV_COMPUTE,
-              description="batched matrix multiply (attention scores/context)"),
         # --- pooling -----------------------------------------------------
         OpDef("MaxPool", OpCategory.POOLING,
               description="max pooling over spatial windows"),
@@ -129,10 +127,6 @@ def _register_all() -> None:
               description="local response normalisation (AlexNet-era)"),
         OpDef("LRNGrad", OpCategory.NORMALIZATION, gradient_of="LRN",
               description="gradient of LRN"),
-        OpDef("LayerNorm", OpCategory.NORMALIZATION,
-              description="layer normalisation (transformers)"),
-        OpDef("LayerNormGrad", OpCategory.NORMALIZATION, gradient_of="LayerNorm",
-              description="gradient of LayerNorm"),
         # --- elementwise / streaming --------------------------------------
         OpDef("Relu", OpCategory.ELEMENTWISE,
               description="rectified linear activation"),
@@ -150,50 +144,24 @@ def _register_all() -> None:
               description="concatenation along the channel axis"),
         OpDef("ConcatGrad", OpCategory.ELEMENTWISE, gradient_of="ConcatV2",
               description="slice a gradient back into concat inputs"),
-        OpDef("Softmax", OpCategory.ELEMENTWISE,
-              description="softmax over logits"),
         OpDef("SparseSoftmaxCrossEntropyWithLogits", OpCategory.ELEMENTWISE,
               description="fused softmax cross-entropy loss with int labels"),
         OpDef("Mul", OpCategory.ELEMENTWISE,
               description="elementwise multiply (dropout scaling etc.)"),
-        OpDef("Sub", OpCategory.ELEMENTWISE,
-              description="elementwise subtract"),
         OpDef("Mean", OpCategory.ELEMENTWISE,
               description="mean reduction (global average pooling, loss mean)"),
         OpDef("Pad", OpCategory.ELEMENTWISE,
               description="pad a tensor with zeros"),
-        OpDef("Tanh", OpCategory.ELEMENTWISE,
-              description="hyperbolic tangent activation"),
-        OpDef("Gelu", OpCategory.ELEMENTWISE,
-              description="Gaussian-error linear unit activation (transformers)"),
-        OpDef("GeluGrad", OpCategory.ELEMENTWISE, gradient_of="Gelu",
-              description="gradient of Gelu"),
-        OpDef("Sigmoid", OpCategory.ELEMENTWISE,
-              description="logistic activation (LSTM gates)"),
-        OpDef("SigmoidGrad", OpCategory.ELEMENTWISE, gradient_of="Sigmoid",
-              description="gradient of Sigmoid"),
-        OpDef("SoftmaxGrad", OpCategory.ELEMENTWISE, gradient_of="Softmax",
-              description="gradient of a standalone Softmax (attention)"),
         # --- optimizer ------------------------------------------------------
         OpDef("ApplyMomentum", OpCategory.OPTIMIZER,
               description="SGD-with-momentum parameter update"),
         OpDef("ApplyGradientDescent", OpCategory.OPTIMIZER,
               description="plain SGD parameter update"),
         # --- data movement ---------------------------------------------------
-        OpDef("Identity", OpCategory.DATA_MOVEMENT,
-              description="pass-through (control-flow anchoring)"),
         OpDef("Reshape", OpCategory.DATA_MOVEMENT,
               description="metadata-only shape change"),
-        OpDef("Squeeze", OpCategory.DATA_MOVEMENT,
-              description="drop size-1 dimensions"),
         OpDef("Slice", OpCategory.DATA_MOVEMENT,
               description="extract a contiguous sub-tensor"),
-        OpDef("Transpose", OpCategory.DATA_MOVEMENT,
-              description="permute tensor dimensions"),
-        OpDef("Gather", OpCategory.DATA_MOVEMENT,
-              description="embedding-table row lookup"),
-        OpDef("Scatter", OpCategory.DATA_MOVEMENT,
-              description="scatter-add of embedding gradients"),
         # --- host (CPU-only) ---------------------------------------------------
         OpDef("IteratorGetNext", OpCategory.HOST, Device.CPU,
               description="input pipeline: fetch the next training batch"),
@@ -205,8 +173,6 @@ def _register_all() -> None:
               description="one-hot encode integer labels"),
         OpDef("Cast", OpCategory.HOST, Device.CPU,
               description="dtype cast on the host"),
-        OpDef("Shape", OpCategory.HOST, Device.CPU,
-              description="materialise a shape tensor"),
     ]
     for d in defs:
         register_op(d)

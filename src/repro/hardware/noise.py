@@ -56,11 +56,9 @@ _CATEGORY_SIGMA = {
 #: Per-op-type overrides for ops that behave unlike their category.
 _OP_TYPE_SIGMA = {
     # Tiny kernels that the scheduler jitters around a lot:
-    "Softmax": 0.250,
     "SparseSoftmaxCrossEntropyWithLogits": 0.200,
     "Mean": 0.220,
     "Mul": 0.100,
-    "Sub": 0.200,
     "Pad": 0.300,
     "BiasAddGrad": 0.090,
 }

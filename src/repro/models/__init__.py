@@ -6,8 +6,6 @@ from repro.models.inception_v1 import build_inception_v1
 from repro.models.inception_v3 import build_inception_v3
 from repro.models.inception_v4 import build_inception_v4
 from repro.models.resnet import RESNET_STAGES, build_resnet
-from repro.models.lstm import LSTM_PRESETS, build_lstm
-from repro.models.transformer import TRANSFORMER_PRESETS, build_transformer
 from repro.models.vgg import VGG_CONFIGS, build_vgg
 from repro.models.zoo import (
     MODEL_BUILDERS,
@@ -32,8 +30,4 @@ __all__ = [
     "build_inception_resnet_v2",
     "VGG_CONFIGS",
     "RESNET_STAGES",
-    "build_transformer",
-    "TRANSFORMER_PRESETS",
-    "build_lstm",
-    "LSTM_PRESETS",
 ]

@@ -48,11 +48,9 @@ SPAN_CATALOG: Mapping[str, str] = {
     "experiments.ext.batch_size": "batch-size sensitivity extension",
     "experiments.ext.estimator_choice": "estimator-choice extension",
     "experiments.ext.multihost": "multi-host placement extension",
-    "experiments.ext.rnn": "RNN workload extension",
-    "experiments.ext.sensitivity": "pricing sensitivity extension",
+    "experiments.ext.sensitivity": "training-set size sensitivity extension",
     "experiments.ext.spot_dynamics": "spot-market dynamics extension",
     "experiments.ext.transfer_logo": "leave-one-GPU-out transfer extension",
-    "experiments.ext.transformer": "transformer workload extension",
     "experiments.fig2": "Fig. 2 driver", "experiments.fig3": "Fig. 3 driver",
     "experiments.fig4": "Fig. 4 driver", "experiments.fig5": "Fig. 5 driver",
     "experiments.fig6": "Fig. 6 driver", "experiments.fig7": "Fig. 7 driver",

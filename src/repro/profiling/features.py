@@ -34,8 +34,7 @@ COMPUTE_SCHEMA: Tuple[str, ...] = (
 
 #: Op types that get the MAC-volume supplemental feature.
 _COMPUTE_FEATURE_OPS = frozenset(
-    {"Conv2D", "Conv2DBackpropInput", "Conv2DBackpropFilter", "MatMul",
-     "BatchMatMul"}
+    {"Conv2D", "Conv2DBackpropInput", "Conv2DBackpropFilter", "MatMul"}
 )
 
 #: Scale factors keeping regression design matrices well-conditioned:

@@ -41,10 +41,10 @@ def strict_models(train_profiles_small):
     )
 
 
-def unseen_op(name="x/Tanh"):
+def unseen_op(name="x/Pad"):
     """A GPU op whose type never appears in training profiles."""
     return Operation(
-        name=name, op_type="Tanh",
+        name=name, op_type="Pad",
         inputs=(TensorShape.of(4, 4),), outputs=(TensorShape.of(4, 4),),
     )
 
@@ -123,7 +123,7 @@ def test_random_graphs_kernel_matches_oracle(
     ``strict_unseen`` both raise the same UnseenOperationError."""
     graph = _build_random(layers)
     if add_unseen:
-        graph.add(unseen_op("random/extra/Tanh"))
+        graph.add(unseen_op("random/extra/Pad"))
     for models in (compute_models, strict_models):
         kind, got = _outcome(lambda: kernel_us(models, graph, gpu_key, heavy_only))
         want_kind, want = _outcome(
@@ -165,7 +165,7 @@ class TestCompiledGraph:
     def test_unseen_types_recorded(self, compute_models):
         compiled = compile_graph(graph_with_unseen_op(), compute_models)
         assert compiled.n_unseen == 1
-        assert compiled.unseen_types == ("Tanh",)
+        assert compiled.unseen_types == ("Pad",)
         assert evaluate_compiled_batch_us(
             compiled, StackedOpModels(compute_models), ("V100",)
         )[0] == pytest.approx(compute_models.light_median_us)

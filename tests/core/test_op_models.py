@@ -61,8 +61,8 @@ def predicted_us(models, ops, gpu_key, heavy_only=False):
     return kernel_us(models, graph, gpu_key, heavy_only)
 
 
-TANH = Operation(
-    name="x/Tanh", op_type="Tanh",
+PAD = Operation(
+    name="x/Pad", op_type="Pad",
     inputs=(TensorShape.of(4, 4),), outputs=(TensorShape.of(4, 4),),
 )
 
@@ -100,7 +100,7 @@ class TestPredictOp:
         assert predicted_us(compute_models, [op], "V100") == compute_models.cpu_median_us
 
     def test_unseen_type_falls_back_to_light_median(self, compute_models):
-        assert predicted_us(compute_models, [TANH], "V100") == compute_models.light_median_us
+        assert predicted_us(compute_models, [PAD], "V100") == compute_models.light_median_us
 
     def test_strict_mode_raises_on_unseen(self, train_profiles_small):
         classification = classify_operations(train_profiles_small)
@@ -108,7 +108,7 @@ class TestPredictOp:
             train_profiles_small, classification, strict_unseen=True
         )
         with pytest.raises(UnseenOperationError):
-            predicted_us(models, [TANH], "V100")
+            predicted_us(models, [PAD], "V100")
 
 
 class TestPredictGraph:
@@ -137,7 +137,7 @@ class TestPredictGraph:
 
     def _unseen_graph(self):
         graph = OpGraph(name="unseen", batch_size=4)
-        graph.add(TANH)
+        graph.add(PAD)
         return graph
 
     def test_unseen_op_costs_light_median_when_lenient(self, compute_models):

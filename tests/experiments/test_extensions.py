@@ -94,34 +94,6 @@ class TestEstimatorChoiceStudy:
         assert "median" in result.render()
 
 
-class TestTransformerStudy:
-    @pytest.fixture(scope="class")
-    def result(self):
-        from repro.experiments.extensions import run_transformer_study
-
-        return run_transformer_study(n_iterations=N)
-
-    def test_strict_mode_refuses_unseen_ops(self, result):
-        """Section VI's limitation, observed: a CNN-trained Ceer cannot
-        price a Transformer's BatchMatMul/LayerNorm/Gelu kernels."""
-        assert result.strict_raises
-
-    def test_fallback_is_useless(self, result):
-        """The light-median fallback is wildly wrong on Transformers."""
-        fallback = result.errors["CNN-trained Ceer (light-median fallback)"]
-        assert fallback > 0.5
-
-    def test_one_update_restores_accuracy(self, result):
-        """Learning from a single Transformer generalises to other
-        depth/width configurations (held-out presets)."""
-        updated = result.errors["after learn_model on one Transformer"]
-        assert updated < 0.15
-        assert updated < result.errors["CNN-trained Ceer (light-median fallback)"] / 5
-
-    def test_render(self, result):
-        assert "Transformers" in result.render()
-
-
 class TestBatchSizeStudy:
     @pytest.fixture(scope="class")
     def result(self):
@@ -142,28 +114,3 @@ class TestBatchSizeStudy:
     def test_render(self, result):
         assert "batch-size generalisation" in result.render()
 
-
-class TestRnnStudy:
-    @pytest.fixture(scope="class")
-    def result(self):
-        from repro.experiments.extensions import run_rnn_study
-
-        return run_rnn_study(n_iterations=N)
-
-    def test_update_improves_dramatically(self, result):
-        before = result.errors["CNN-trained Ceer (fallback)"]
-        after = result.errors["after learn_model on one LSTM"]
-        assert after < before / 5
-
-    def test_updated_error_usable(self, result):
-        """RNN accuracy is weaker than CNNs/Transformers (tiny launch-bound
-        kernels violate the size-scaling assumption) but stays bounded."""
-        assert result.errors["after learn_model on one LSTM"] < 0.35
-
-    def test_v100_loses_to_t4_on_lstms(self, result):
-        """The emergent utilization effect: LSTM steps are too small to
-        saturate a V100, so the nominally slower T4 wins outright."""
-        assert result.v100_over_t4_time_ratio > 1.0
-
-    def test_render(self, result):
-        assert "RNNs/LSTMs" in result.render()

@@ -12,9 +12,9 @@ from repro.graph.shapes import TensorShape
 _SHAPE = TensorShape.of(1, 4, 4, 1)
 
 
-def _identity(name, producers=()):
+def _reshape(name, producers=()):
     return Operation(
-        name=name, op_type="Identity",
+        name=name, op_type="Reshape",
         inputs=(_SHAPE,), outputs=(_SHAPE,), input_ops=tuple(producers),
     )
 
@@ -23,7 +23,7 @@ def _chain_graph(n: int) -> OpGraph:
     g = OpGraph(name="chain", batch_size=1)
     prev = None
     for i in range(n):
-        g.add(_identity(f"op{i}", (prev,) if prev else ()))
+        g.add(_reshape(f"op{i}", (prev,) if prev else ()))
         prev = f"op{i}"
     return g
 
@@ -37,12 +37,12 @@ class TestConstruction:
     def test_duplicate_name_rejected(self):
         g = _chain_graph(1)
         with pytest.raises(GraphError):
-            g.add(_identity("op0"))
+            g.add(_reshape("op0"))
 
     def test_unknown_producer_rejected(self):
         g = OpGraph(name="g", batch_size=1)
         with pytest.raises(GraphError):
-            g.add(_identity("a", ("missing",)))
+            g.add(_reshape("a", ("missing",)))
 
     def test_get_unknown_raises(self):
         with pytest.raises(GraphError):
@@ -61,10 +61,10 @@ class TestTopology:
 
     def test_diamond(self):
         g = OpGraph(name="diamond", batch_size=1)
-        g.add(_identity("a"))
-        g.add(_identity("b", ("a",)))
-        g.add(_identity("c", ("a",)))
-        g.add(_identity("d", ("b", "c")))
+        g.add(_reshape("a"))
+        g.add(_reshape("b", ("a",)))
+        g.add(_reshape("c", ("a",)))
+        g.add(_reshape("d", ("b", "c")))
         order = [op.name for op in g.topological_order()]
         assert order.index("a") < order.index("b")
         assert order.index("a") < order.index("c")
@@ -90,7 +90,7 @@ class TestTopology:
 class TestQueries:
     def test_op_type_counts(self):
         g = _chain_graph(4)
-        assert g.op_type_counts() == {"Identity": 4}
+        assert g.op_type_counts() == {"Reshape": 4}
 
     def test_ops_on_device(self, tiny_graph):
         gpu_ops = tiny_graph.ops_on(Device.GPU)
@@ -117,7 +117,7 @@ def test_random_dags_always_topologically_sortable(n, rng):
         k = rng.randint(0, min(3, len(names)))
         producers = rng.sample(names, k) if k else []
         name = f"n{i}"
-        g.add(_identity(name, producers))
+        g.add(_reshape(name, producers))
         names.append(name)
     order = g.topological_order()
     assert len(order) == n

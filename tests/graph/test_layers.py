@@ -17,15 +17,11 @@ class TestActivationMapping:
     def test_none_means_no_op(self):
         assert activation_op_type(None) is None
 
-    @pytest.mark.parametrize("name,op_type", [
-        ("relu", "Relu"), ("tanh", "Tanh"), ("gelu", "Gelu"),
-    ])
+    @pytest.mark.parametrize("name,op_type", [("relu", "Relu")])
     def test_forward_mapping(self, name, op_type):
         assert activation_op_type(name) == op_type
 
-    @pytest.mark.parametrize("name,op_type", [
-        ("relu", "ReluGrad"), ("gelu", "GeluGrad"), ("tanh", "Mul"),
-    ])
+    @pytest.mark.parametrize("name,op_type", [("relu", "ReluGrad")])
     def test_backward_mapping(self, name, op_type):
         assert activation_grad_op_type(name) == op_type
 

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import UnknownOpError
+from repro.graph import flops
+from repro.graph.builder import GraphBuilder
 from repro.graph.ops import (
     CPU_OP_TYPES,
     OP_REGISTRY,
@@ -14,6 +16,8 @@ from repro.graph.ops import (
     register_op,
 )
 from repro.graph.shapes import TensorShape
+from repro.hardware import noise
+from repro.models.zoo import build_model, model_names
 
 
 class TestRegistry:
@@ -51,6 +55,32 @@ class TestRegistry:
         before = len(OP_REGISTRY)
         register_op(OP_REGISTRY["Conv2D"])
         assert len(OP_REGISTRY) == before
+
+
+class TestRegistryCoverage:
+    """The registry holds exactly the op types something emits, so a type
+    whose last emitter is deleted cannot linger as dead rows."""
+
+    @pytest.fixture(scope="class")
+    def emitted(self):
+        types = set()
+        for name in model_names():
+            types.update(build_model(name, batch_size=32).op_type_counts())
+        # The zoo never pads or uses plain SGD; the builder can.
+        b = GraphBuilder("padded", batch_size=2, image_hw=(8, 8),
+                         num_classes=4, optimizer="sgd")
+        x = b.flatten(b.conv(b.pad(b.input(), 1, 1), filters=4, kernel=3))
+        types.update(b.finalize(b.dense(x, 4, activation=None)).op_type_counts())
+        return types
+
+    def test_registry_is_exactly_the_emitted_types(self, emitted):
+        assert set(OP_REGISTRY) == emitted
+
+    def test_noise_sigma_overrides_are_registered(self):
+        assert set(noise._OP_TYPE_SIGMA) <= set(OP_REGISTRY)
+
+    def test_flop_rules_cover_exactly_the_registry(self):
+        assert set(flops._FLOP_FNS) == set(OP_REGISTRY)
 
 
 class TestOperation:

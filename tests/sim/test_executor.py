@@ -226,7 +226,7 @@ class TestCellMemo:
         graph = _host_graph("grown")
         before = run_iterations(graph, "K80", 13, "memo-grown")
         graph.add(Operation(
-            name="grown/extra", op_type="Shape", inputs=(),
+            name="grown/extra", op_type="Cast", inputs=(),
             outputs=(TensorShape.of(4),), device=Device.CPU,
         ))
         after = run_iterations(graph, "K80", 13, "memo-grown")

@@ -1,12 +1,13 @@
 """Tests for the command-line interface."""
 
 import io
+import json
 
 import pytest
 
 from repro.cli import main
 from repro.core.persistence import save_estimator
-from repro.graph.serialization import save_graph
+from repro.graph.serialization import graph_to_dict, save_graph
 
 
 @pytest.fixture(scope="module")
@@ -801,3 +802,30 @@ class TestAdmitSpotRatio:
         err = capsys.readouterr().err
         assert code == 2
         assert "spot_ratio" in err
+
+
+class TestGraphFile:
+    @pytest.mark.parametrize("command", ["predict", "recommend", "tradeoff"])
+    @pytest.mark.parametrize("case", ["missing-file", "no-op-inputs", "tpu-device"])
+    def test_bad_graph_file_is_a_named_error(
+        self, estimator_path, tiny_graph, tmp_path, capsys, command, case
+    ):
+        graph_path = tmp_path / "g.json"
+        doc = graph_to_dict(tiny_graph)
+        if case == "no-op-inputs":
+            del doc["ops"][1]["inputs"]
+        elif case == "tpu-device":
+            doc["ops"][1]["device"] = "TPU"
+        if case != "missing-file":
+            graph_path.write_text(json.dumps(doc))
+        argv = [command, "--estimator", estimator_path, "--graph", str(graph_path),
+                "--batch", "4"]
+        if command == "predict":
+            argv += ["--gpu", "V100"]
+        code, _ = _run(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(graph_path) in err and "Traceback" not in err
+        if case != "missing-file":
+            field = "inputs" if case == "no-op-inputs" else "device"
+            assert f"'ops[1].{field}'" in err

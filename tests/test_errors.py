@@ -13,8 +13,8 @@ class TestHierarchy:
                 assert issubclass(obj, errors.ReproError), name
 
     def test_unseen_operation_error_fields(self):
-        exc = errors.UnseenOperationError("BatchMatMul", "V100")
-        assert exc.op_type == "BatchMatMul"
+        exc = errors.UnseenOperationError("Pad", "V100")
+        assert exc.op_type == "Pad"
         assert exc.device == "V100"
         assert "Section IV-D" in str(exc)
         assert isinstance(exc, errors.ModelingError)
